@@ -2,19 +2,19 @@
 //! precision tiers on uniform, clustered, and correlated data.
 //!
 //! The tiered leaf scan (PR 7) runs every leaf through a cheap
-//! low-precision phase first — an f32 mirror scan or an 8-bit quantized
-//! code scan — and re-ranks only the survivors with the exact f64 batch
-//! kernel, so answers stay **bit-identical** to the pure-f64 scan (asserted
-//! here on every query of every cell). The experiment sweeps the three
-//! tiers over three data distributions and reports, per cell:
+//! low-precision phase first — an f32 mirror scan — and re-ranks only the
+//! survivors with the exact f64 batch kernel, so answers stay
+//! **bit-identical** to the pure-f64 scan (asserted here on every query of
+//! every cell). The experiment sweeps the two tiers over three data
+//! distributions and reports, per cell:
 //!
 //! * the exact-kernel work (`dist_evals`: f64 row evaluations started),
 //!   the phase-1 work (`lb_evals`) and the survivors re-ranked
 //!   (`rerank_evals`) — all host-independent trace counters;
 //! * a **modeled kernel cost** in megabytes of vector data streamed
 //!   through the distance kernels (f64 rows are `8·dim` bytes, f32 mirrors
-//!   `4·dim`, q8 codes `1·dim`) — the bandwidth-bound proxy that makes the
-//!   tiers comparable without a wall clock;
+//!   `4·dim`) — the bandwidth-bound proxy that makes the tiers comparable
+//!   without a wall clock;
 //! * the **measured** wall-clock of the same workload on this host
 //!   (single batch worker, deterministic forest search) — indicative only,
 //!   and recorded with that caveat.
@@ -36,17 +36,13 @@ const QUERIES: usize = 16;
 
 /// The swept tiers with their display names and phase-1 bytes per
 /// coordinate (0 for the pure f64 tier — it has no phase 1).
-const TIERS: [(ScanTier, &str, u64); 3] = [
-    (ScanTier::F64, "f64", 0),
-    (ScanTier::F32, "f32", 4),
-    (ScanTier::Q8, "q8", 1),
-];
+const TIERS: [(ScanTier, &str, u64); 2] = [(ScanTier::F64, "f64", 0), (ScanTier::F32, "f32", 4)];
 
 /// One (dataset, tier) cell of the sweep.
 pub struct TierRow {
     /// `"uniform"`, `"clustered"`, or `"correlated"`.
     pub dataset: &'static str,
-    /// `"f64"`, `"f32"`, or `"q8"`.
+    /// `"f64"` or `"f32"`.
     pub tier: &'static str,
     /// Exact f64 row evaluations started over the workload.
     pub f64_evals: u64,
@@ -68,7 +64,7 @@ pub struct TierMeasurement {
     pub points: usize,
     /// Queries per dataset.
     pub queries: usize,
-    /// The sweep, grouped by dataset, tiers in f64/f32/q8 order.
+    /// The sweep, grouped by dataset, tiers in f64/f32 order.
     pub rows: Vec<TierRow>,
 }
 
@@ -169,7 +165,7 @@ pub fn to_json(m: &TierMeasurement, scale: f64) -> String {
     out.push_str(
         "  \"note\": \"f64_evals/lb_evals/rerank_evals are host-independent trace counters \
          (exact f64 rows started, phase-1 low-precision rows scanned, survivors re-ranked); \
-         modeled_mb is the bandwidth proxy 8B/4B/1B per coordinate for f64/f32/q8 rows; \
+         modeled_mb is the bandwidth proxy 8B/4B per coordinate for f64/f32 rows; \
          measured_ms is wall-clock of the single-worker deterministic batch on the build host \
          and is indicative only; exact means every neighbor distance was bit-identical to the \
          f64 tier\",\n",
@@ -198,26 +194,22 @@ pub fn to_json(m: &TierMeasurement, scale: f64) -> String {
 /// Runs the tier sweep and tabulates it.
 pub fn run(scale: f64) -> ExperimentReport {
     let m = measure(scale);
-    let reduction = |dataset: &str| -> (f64, f64) {
-        let evals = |tier: &str| -> f64 {
-            m.rows
-                .iter()
-                .find(|r| r.dataset == dataset && r.tier == tier)
-                .map(|r| r.f64_evals as f64)
-                .unwrap_or(0.0)
-        };
-        let base = evals("f64").max(1.0);
-        (base / evals("f32").max(1.0), base / evals("q8").max(1.0))
+    let evals = |tier: &str| -> f64 {
+        m.rows
+            .iter()
+            .find(|r| r.dataset == "uniform" && r.tier == tier)
+            .map(|r| r.f64_evals as f64)
+            .unwrap_or(0.0)
     };
-    let (uf32, uq8) = reduction("uniform");
+    let uf32 = evals("f64").max(1.0) / evals("f32").max(1.0);
     ExperimentReport {
         id: "ext12",
         title: "EXTENSION — two-tier leaf scan: f64 kernel work vs precision tier on uniform, \
                 clustered, and correlated data (answers bit-identical in every cell)",
         paper: "beyond the paper: the leaf scan runs a certified low-precision lower-bound pass \
-                (f32 mirrors or 8-bit quantized codes) before the exact f64 kernel, re-ranking \
-                only rows the cheap pass cannot prune; the triangle-inequality certification \
-                makes every tier return the paper's arithmetic bit for bit",
+                (f32 mirrors) before the exact f64 kernel, re-ranking only rows the cheap pass \
+                cannot prune; the triangle-inequality certification makes every tier return the \
+                paper's arithmetic bit for bit",
         headers: vec![
             "dataset".into(),
             "tier".into(),
@@ -246,10 +238,9 @@ pub fn run(scale: f64) -> ExperimentReport {
             .collect(),
         notes: vec![
             format!(
-                "uniform data: the cheap tiers cut exact f64 row evaluations by {}x (f32) and \
-                 {}x (q8); every cell's answers were asserted bit-identical to the f64 tier",
+                "uniform data: the f32 tier cuts exact f64 row evaluations by {}x; every cell's \
+                 answers were asserted bit-identical to the f64 tier",
                 fmt(uf32, 1),
-                fmt(uq8, 1),
             ),
             "f64/lb/rerank eval counts and modeled MB are host-independent (trace counters and \
              a bytes-streamed bandwidth proxy); measured ms is wall-clock on the build host and \

@@ -7,7 +7,7 @@ use super::*;
 
 #[test]
 fn dispatcher_covers_all_and_rejects_unknown() {
-    assert_eq!(ALL.len(), 27);
+    assert_eq!(ALL.len(), 26);
     assert!(run("nonsense", 1.0).is_none());
     assert!(run("fig99", 1.0).is_none());
 }
@@ -208,9 +208,9 @@ fn ext11_coalescing_raises_saturation_and_reconciles() {
 #[test]
 fn ext12_reduces_f64_evals_and_stays_exact() {
     let m = ext12::measure(0.05);
-    // 3 datasets x 3 tiers; answers were asserted bit-identical inside
+    // 3 datasets x 2 tiers; answers were asserted bit-identical inside
     // measure(), and the rows record that fact.
-    assert_eq!(m.rows.len(), 9);
+    assert_eq!(m.rows.len(), 6);
     assert!(m.rows.iter().all(|r| r.exact), "a tier diverged from f64");
     let cell = |dataset: &str, tier: &str| {
         m.rows
@@ -223,89 +223,37 @@ fn ext12_reduces_f64_evals_and_stays_exact() {
         assert!(base.f64_evals > 0, "{dataset}: f64 scan did no work");
         assert_eq!(base.lb_evals, 0, "{dataset}: f64 tier has no phase 1");
         assert_eq!(base.rerank_evals, 0);
-        for tier in ["f32", "q8"] {
-            let c = cell(dataset, tier);
-            assert!(c.lb_evals > 0, "{dataset}/{tier}: phase 1 never ran");
-            assert!(
-                c.rerank_evals <= c.lb_evals,
-                "{dataset}/{tier}: more survivors than rows scanned"
-            );
-            assert!(
-                c.f64_evals <= base.f64_evals,
-                "{dataset}/{tier}: cheap tier did more f64 work"
-            );
-        }
-    }
-    // The acceptance bar: on uniform data both cheap tiers cut exact f64
-    // row evaluations by at least 2x.
-    let base = cell("uniform", "f64").f64_evals;
-    for tier in ["f32", "q8"] {
-        let c = cell("uniform", tier);
+        let c = cell(dataset, "f32");
+        assert!(c.lb_evals > 0, "{dataset}/f32: phase 1 never ran");
         assert!(
-            c.f64_evals * 2 <= base,
-            "uniform/{tier}: {} f64 evals vs baseline {base} — under 2x",
-            c.f64_evals
+            c.rerank_evals <= c.lb_evals,
+            "{dataset}/f32: more survivors than rows scanned"
+        );
+        assert!(
+            c.f64_evals <= base.f64_evals,
+            "{dataset}/f32: cheap tier did more f64 work"
         );
     }
+    // The acceptance bar: on uniform data the f32 tier cuts exact f64 row
+    // evaluations by at least 2x.
+    let base = cell("uniform", "f64").f64_evals;
+    let c = cell("uniform", "f32");
+    assert!(
+        c.f64_evals * 2 <= base,
+        "uniform/f32: {} f64 evals vs baseline {base} — under 2x",
+        c.f64_evals
+    );
     // The JSON record carries the schema and every cell.
     let json = ext12::to_json(&m, 0.05);
     assert!(json.contains("\"bench\": \"pr7-two-tier-leaf-scan\""));
-    assert_eq!(json.matches("\"exact\": true").count(), 9);
-    for tier in ["f64", "f32", "q8"] {
+    assert_eq!(json.matches("\"exact\": true").count(), 6);
+    for tier in ["f64", "f32"] {
         assert_eq!(json.matches(&format!("\"tier\": \"{tier}\"")).count(), 3);
     }
     // And the tabulated report is well-formed.
     let report = run("ext12", 0.05).expect("ext12");
-    assert_eq!(report.rows.len(), 9);
+    assert_eq!(report.rows.len(), 6);
     assert!(report.notes[0].contains("bit-identical"));
-}
-
-#[test]
-fn ext14_energy_order_abandons_earlier_and_stays_exact() {
-    let m = ext14::measure(0.05);
-    // 3 datasets x 2 orders x 3 tiers; answers were asserted bit-identical
-    // against the natural-order f64 scan inside measure().
-    assert_eq!(m.rows.len(), 18);
-    assert!(m.rows.iter().all(|r| r.exact), "a cell diverged");
-    let cell = |dataset: &str, order: &str, tier: &str| {
-        m.rows
-            .iter()
-            .find(|r| r.dataset == dataset && r.order == order && r.tier == tier)
-            .unwrap()
-    };
-    for dataset in ["uniform", "high-d", "correlated"] {
-        for order in ["natural", "energy"] {
-            let f64c = cell(dataset, order, "f64");
-            assert!(f64c.f64_evals > 0, "{dataset}/{order}: f64 scan idle");
-            for tier in ["f32", "q8"] {
-                let c = cell(dataset, order, tier);
-                assert!(c.lb_evals > 0, "{dataset}/{order}/{tier}: no phase 1");
-                assert!(c.rerank_evals <= c.lb_evals);
-            }
-        }
-    }
-    // The abandon-depth counters are self-consistent: every abandoned row
-    // ran at least one checkpoint.
-    for r in &m.rows {
-        assert!(
-            r.abandon_checkpoints >= r.abandoned_rows,
-            "{}/{}/{}: fewer checkpoints than abandoned rows",
-            r.dataset,
-            r.order,
-            r.tier
-        );
-    }
-    // The JSON record carries the schema and every cell.
-    let json = ext14::to_json(&m, 0.05);
-    assert!(json.contains("\"bench\": \"pr9-energy-ordered-scan-layout\""));
-    assert_eq!(json.matches("\"exact\": true").count(), 18);
-    for order in ["natural", "energy"] {
-        assert_eq!(json.matches(&format!("\"order\": \"{order}\"")).count(), 9);
-    }
-    // And the tabulated report is well-formed.
-    let report = run("ext14", 0.05).expect("ext14");
-    assert_eq!(report.rows.len(), 18);
-    assert!(report.notes[0].contains("abandon depth"));
 }
 
 #[test]

@@ -22,19 +22,16 @@
 //! checkpoint, the returned `Some(value)` is bit-identical to the unbounded
 //! kernel because both run the very same accumulation.
 //!
-//! # Precision tiers
+//! # Precision tier
 //!
-//! Next to the canonical f64 kernels this module carries two cheap tiers
+//! Next to the canonical f64 kernels this module carries one cheap tier
 //! used by the two-phase leaf scan: **f32** kernels over single-precision
-//! mirrors ([`dist2_f32`], [`dist2_batch_f32`] and bounded variants) and
-//! **q8** kernels over 8-bit scalar-quantized codes ([`dist2_q8`],
-//! [`dist2_batch_q8`] and bounded variants, exact integer arithmetic).
-//! Neither tier ever *answers* a query; their results are turned into
-//! certified **lower bounds** on the true f64 distance via the
-//! `lb2_from_*` / `*_prune_threshold` helpers below, so a row they
-//! disqualify provably cannot enter the k-NN result and every survivor is
-//! re-ranked with the canonical [`dist2`] — returned answers stay
-//! bit-identical to a pure f64 scan.
+//! mirrors ([`dist2_f32`], [`dist2_batch_f32`] and bounded variants). The
+//! tier never *answers* a query; its results are turned into certified
+//! **lower bounds** on the true f64 distance via [`lb2_from_f32`] /
+//! [`f32_prune_threshold`], so a row it disqualifies provably cannot enter
+//! the k-NN result and every survivor is re-ranked with the canonical
+//! [`dist2`] — returned answers stay bit-identical to a pure f64 scan.
 //!
 //! The certification argument is the triangle inequality plus a forward
 //! error bound: with `q̂`, `x̂` the low-precision representations and
@@ -42,10 +39,7 @@
 //! overestimates), `‖q−x‖ ≥ ‖q̂−x̂‖ − r_q − r_x`. The f32 kernel does not
 //! compute `‖q̂−x̂‖²` exactly; its accumulated sum `S` satisfies
 //! `S ≤ (1+γ)·σ` with `σ` the exact sum and `γ =` [`f32_accum_slack`], so
-//! `σ ≥ S/(1+γ)` is still certain. The q8 kernel's code-space sum is exact
-//! integer arithmetic; the only slack needed is the f64 rounding of the
-//! reconstruction grid, absorbed into the stored `r` values by
-//! [`displacement_norm_q8`]. Every helper rounds its slack *against* the
+//! `σ ≥ S/(1+γ)` is still certain. Every helper rounds its slack *against* the
 //! pruning decision, so `lb ≤ dist2` holds unconditionally (certified for
 //! dimensions up to ~10⁶; see [`CERT_PAD`]).
 
@@ -451,189 +445,29 @@ pub fn dist2_batch_f32_bounded_depth(
     (rows, cps)
 }
 
-/// Code-space squared distance between two 8-bit quantized rows: the
-/// **exact** integer `Σ (a[i] − b[i])²` over the u8 codes.
+/// Magnitude cap on the wide i32 query codes of the weighted q8 kernels.
 ///
-/// Four u64 lanes; each term is at most `255² = 65025`, so the sum is
-/// exact for any realistic dimension (no overflow below `dim ≈ 2⁵⁰`), and
-/// `(sum as f64)` is exact below `2⁵³`. The caller owns the grid (per-block
-/// `min`/`scale`); [`lb2_from_q8`] / [`q8_prune_threshold`] convert the
-/// code-space sum into a certified lower bound on the f64 distance.
-#[inline]
-pub fn dist2_q8(a: &[u8], b: &[u8]) -> u64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut s0 = 0u64;
-    let mut s1 = 0u64;
-    let mut s2 = 0u64;
-    let mut s3 = 0u64;
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        let d0 = xa[0] as i32 - xb[0] as i32;
-        let d1 = xa[1] as i32 - xb[1] as i32;
-        let d2 = xa[2] as i32 - xb[2] as i32;
-        let d3 = xa[3] as i32 - xb[3] as i32;
-        s0 += (d0 * d0) as u64;
-        s1 += (d1 * d1) as u64;
-        s2 += (d2 * d2) as u64;
-        s3 += (d3 * d3) as u64;
-    }
-    for (x, y) in ta.iter().zip(tb) {
-        let d = *x as i32 - *y as i32;
-        s0 += (d * d) as u64;
-    }
-    (s0 + s1) + (s2 + s3)
-}
-
-/// [`dist2_q8`] with early abandon at the [`CHECKPOINT_LANES`] cadence.
-///
-/// Integer accumulation is exact and strictly monotone, so a checkpoint
-/// above `bound` proves the full code-space sum exceeds it — no rounding
-/// argument is even needed here.
-#[inline]
-pub fn dist2_q8_bounded(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut s0 = 0u64;
-    let mut s1 = 0u64;
-    let mut s2 = 0u64;
-    let mut s3 = 0u64;
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        let d0 = xa[0] as i32 - xb[0] as i32;
-        let d1 = xa[1] as i32 - xb[1] as i32;
-        let d2 = xa[2] as i32 - xb[2] as i32;
-        let d3 = xa[3] as i32 - xb[3] as i32;
-        s0 += (d0 * d0) as u64;
-        s1 += (d1 * d1) as u64;
-        s2 += (d2 * d2) as u64;
-        s3 += (d3 * d3) as u64;
-        if (s0 + s1) + (s2 + s3) > bound {
-            return None;
-        }
-    }
-    for (x, y) in ta.iter().zip(tb) {
-        let d = *x as i32 - *y as i32;
-        s0 += (d * d) as u64;
-    }
-    Some((s0 + s1) + (s2 + s3))
-}
-
-/// Scans a row-major q8 code block against one quantized query, writing
-/// every row's [`dist2_q8`] into `out`.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_q8(query: &[u8], block: &[u8], dim: usize, out: &mut [u64]) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        *slot = dist2_q8(query, row);
-    }
-}
-
-/// Bounded variant of [`dist2_batch_q8`]: every row runs
-/// [`dist2_q8_bounded`] against the same `bound`.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_q8_bounded(
-    query: &[u8],
-    block: &[u8],
-    dim: usize,
-    bound: u64,
-    out: &mut [Option<u64>],
-) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        *slot = dist2_q8_bounded(query, row, bound);
-    }
-}
-
-/// Weighted code-space squared distance for **per-dimension** q8 grids:
-/// `Σ_j w[j] · (a[j] − b[j])²` accumulated in f64, with `w[j]` the squared
-/// grid step of lane `j` (see `VectorArena::q8_weights`).
-///
-/// With per-lane scales the reconstruction distance is no longer
-/// `scale²·Σ d²` of one global grid; each lane contributes
-/// `(scale_j·d_j)²`. The integer code difference squared (`≤ 255² =
-/// 65025`) is exact in f64, so the only rounding is the weight product and
-/// the four-lane accumulation, budgeted by [`q8w_accum_slack`]. Same
-/// four-lane shape and checkpoint cadence as every other kernel here;
-/// plain mul+add (no FMA gate) like [`dist2_f32`], so one fixed rounding
-/// model backs the slack.
-///
-/// Degenerate lanes (constant coordinate, `scale = 0`) carry weight `0`
-/// and contribute nothing — their reconstruction is exact, so per-lane
-/// grids never force a whole block off the q8 tier the way a constant
-/// block did under the old scalar grid.
-///
-/// The query side `a` is **wide** i32 codes (see [`Q8W_CODE_CAP`]): a
-/// query coordinate outside the block's per-lane range encodes to a code
-/// beyond `[0, 255]` instead of clamping to the grid edge. Per-leaf lanes
-/// are narrow, so clamping would routinely inflate the query displacement
-/// `r_q` to the full query-to-leaf distance and destroy the pruning
-/// margin; wide codes keep `r_q` at half a grid step per lane. Code
-/// differences stay `≤ 2·Q8W_CODE_CAP`, so `d²` is exact in both i64 and
-/// f64.
-#[inline]
-pub fn dist2_q8w(a: &[i32], b: &[u8], w: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    debug_assert_eq!(a.len(), w.len(), "weight dimension mismatch");
-    let mut s0 = 0.0f64;
-    let mut s1 = 0.0f64;
-    let mut s2 = 0.0f64;
-    let mut s3 = 0.0f64;
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let cw = w.chunks_exact(4);
-    let (ta, tb, tw) = (ca.remainder(), cb.remainder(), cw.remainder());
-    for ((xa, xb), xw) in ca.zip(cb).zip(cw) {
-        let d0 = (xa[0] as i64 - xb[0] as i64).pow(2) as f64;
-        let d1 = (xa[1] as i64 - xb[1] as i64).pow(2) as f64;
-        let d2 = (xa[2] as i64 - xb[2] as i64).pow(2) as f64;
-        let d3 = (xa[3] as i64 - xb[3] as i64).pow(2) as f64;
-        s0 += xw[0] * d0;
-        s1 += xw[1] * d1;
-        s2 += xw[2] * d2;
-        s3 += xw[3] * d3;
-    }
-    for ((x, y), wj) in ta.iter().zip(tb).zip(tw) {
-        let d = (*x as i64 - *y as i64).pow(2) as f64;
-        s0 += wj * d;
-    }
-    (s0 + s1) + (s2 + s3)
-}
-
-/// Magnitude cap on the wide query codes of the weighted q8 kernels.
+/// Kept, with [`dist2_q8w_bounded_depth`] and
+/// [`dist2_batch_q8w_bounded_depth`], only because the `perfbench`
+/// benchmark times the weighted q8 kernel (`kernel.q8w_ns_per_row`); no
+/// engine scan tier uses them.
 ///
 /// With `|code| ≤ 2²⁵` the difference against a row code (`∈ [0, 255]`)
-/// stays below `2²⁶`, so its square is below `2⁵²` — exactly representable
-/// in f64, preserving the "`d²` is exact" premise of
-/// [`q8w_accum_slack`]. Queries that would encode beyond the cap are
-/// clamped to it; the residual reconstruction error is charged to the
-/// query displacement `r_q` by the encoder, so certification stays valid
-/// (such a query is ≥ `2²⁵` grid steps outside the block — pruning power
-/// there is irrelevant).
+/// stays below `2²⁶`, so its square is below `2⁵²` and exactly
+/// representable in f64. Callers clamp query codes to this cap.
 pub const Q8W_CODE_CAP: i32 = 1 << 25;
 
-/// [`dist2_q8w`] with early abandon at the [`CHECKPOINT_LANES`] cadence,
-/// plus the checkpoint count (see [`dist2_bounded_depth`]).
+/// Weighted code-space squared distance for **per-dimension** 8-bit grids,
+/// `Σ_j w[j] · (a[j] − b[j])²` accumulated in f64 (`w[j]` the squared grid
+/// step of lane `j`), with early abandon at the [`CHECKPOINT_LANES`]
+/// cadence plus the checkpoint count (see [`dist2_bounded_depth`]).
 ///
-/// Every term `w[j]·d²` is non-negative and IEEE addition is monotone, so
-/// a checkpoint above `bound` certifies the full sum would be too. An
-/// overflowed (`+∞`) running sum abandons safely as well: reaching `∞`
-/// requires the exact sum to exceed `f64::MAX / 2`, astronomically above
-/// any threshold derived from a finite pruning bound.
+/// Kept for the `perfbench` benchmark only (see [`Q8W_CODE_CAP`]). The
+/// query side `a` is wide i32 codes that may leave `[0, 255]`; the integer
+/// code difference squared is exact in f64, so the only rounding is the
+/// weight product and the four-lane accumulation. Every term is
+/// non-negative and IEEE addition is monotone, so a checkpoint above
+/// `bound` proves the full sum would be too.
 #[inline]
 pub fn dist2_q8w_bounded_depth(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> (Option<f64>, u64) {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -668,16 +502,11 @@ pub fn dist2_q8w_bounded_depth(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> (O
     (Some((s0 + s1) + (s2 + s3)), cp)
 }
 
-/// [`dist2_q8w_bounded_depth`] without the depth counter.
-#[inline]
-pub fn dist2_q8w_bounded(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> Option<f64> {
-    dist2_q8w_bounded_depth(a, b, w, bound).0
-}
-
-/// Scans a row-major q8 code block against one quantized query with the
-/// weighted per-dimension kernel, abandoning rows at `bound` and returning
+/// Scans a row-major q8 code block against one quantized query with
+/// [`dist2_q8w_bounded_depth`], abandoning rows at `bound` and returning
 /// `(abandoned_rows, abandon_checkpoints)` (see
-/// [`dist2_batch_f32_bounded_depth`] for the accounting contract).
+/// [`dist2_batch_f32_bounded_depth`] for the accounting contract). Kept for
+/// the `perfbench` benchmark only (see [`Q8W_CODE_CAP`]).
 ///
 /// # Panics
 ///
@@ -734,43 +563,6 @@ pub fn f32_accum_slack(dim: usize) -> f64 {
     2.0 * (dim + CHECKPOINT_LANES) as f64 * f32::EPSILON as f64
 }
 
-/// Relative forward-error budget of the weighted q8 accumulation in
-/// [`dist2_q8w`]: the computed sum `S` and the exact `σ = Σ w_j·d_j²`
-/// satisfy `|S − σ| ≤ q8w_accum_slack(dim) · σ`.
-///
-/// Per term: the weight itself carries one rounding (`scale_j²`), the
-/// product `w_j·d_j²` another (`d_j²` is an exact integer in f64), and the
-/// additions contribute a Higham chain of at most `dim` roundings per lane
-/// plus the cross-lane reduction — `4·(dim + CHECKPOINT_LANES)·ε₆₄` covers
-/// all of it with headroom (stated with the full machine epsilon, twice
-/// the unit roundoff).
-pub fn q8w_accum_slack(dim: usize) -> f64 {
-    4.0 * (dim + CHECKPOINT_LANES) as f64 * f64::EPSILON
-}
-
-/// The abandon bound for a **permuted** f64 filter scan certifying against
-/// a pruning radius `bound`: inflates the radius by [`CERT_PAD`] so that a
-/// row abandoned on the energy-permuted accumulation provably has
-/// **computed natural-order** [`dist2`] `≥ bound` as well.
-///
-/// Permuting coordinates re-orders the four-lane accumulation, so the
-/// permuted sum and the canonical natural-order sum differ by a relative
-/// `γ = 2·(dim + CHECKPOINT_LANES)·ε₆₄` each against the exact value. A
-/// permuted checkpoint `S_p > bound·(1+CERT_PAD)` gives exact
-/// `σ ≥ S_p/(1+γ) > bound·(1+CERT_PAD)/(1+γ)` and therefore computed
-/// natural `D ≥ σ·(1−γ) > bound·(1+CERT_PAD)·(1−γ)/(1+γ) ≥ bound` as long
-/// as `CERT_PAD ≥ ~2γ` — true for dimensions up to ~10⁶. Callers re-rank
-/// every survivor with the natural-order kernel, so answers stay
-/// bit-identical to a natural scan while abandons fire on the
-/// highest-variance lanes first.
-pub fn order_prune_bound(bound: f64) -> f64 {
-    if bound.is_finite() {
-        bound * (1.0 + CERT_PAD)
-    } else {
-        bound
-    }
-}
-
 /// Overestimate of the displacement `‖v − m‖₂` between a row and its f32
 /// mirror, suitable as the `r` input of the f32 certification helpers.
 ///
@@ -787,69 +579,6 @@ pub fn displacement_norm_f32(v: &[f64], m: &[f32]) -> f64 {
     s.sqrt() * (1.0 + CERT_PAD)
 }
 
-/// Overestimate of the displacement `‖v − x̂‖₂` between a row and its q8
-/// reconstruction `x̂[i] = min + codes[i]·scale` (the *ideal* grid point in
-/// exact arithmetic), suitable as the `r` input of the q8 helpers.
-///
-/// Unlike the f32 case the reconstruction is computed, not stored, so each
-/// coordinate carries an absolute f64 error up to a few `ε₆₄·|x̂[i]|`; the
-/// `8·ε₆₄·amax·√dim` term over-covers that before the relative
-/// [`CERT_PAD`] inflation.
-pub fn displacement_norm_q8(v: &[f64], codes: &[u8], min: f64, scale: f64) -> f64 {
-    debug_assert_eq!(v.len(), codes.len(), "dimension mismatch");
-    let mut s = 0.0f64;
-    let mut amax = 0.0f64;
-    for (x, c) in v.iter().zip(codes) {
-        let r = min + *c as f64 * scale;
-        amax = amax.max(r.abs()).max(x.abs());
-        let d = x - r;
-        s += d * d;
-    }
-    let fudge = 8.0 * f64::EPSILON * amax * (v.len() as f64).sqrt();
-    (s.sqrt() + fudge) * (1.0 + CERT_PAD)
-}
-
-/// Per-dimension-grid counterpart of [`displacement_norm_q8`]: the
-/// reconstruction of lane `j` is `mins[j] + codes[j]·scales[j]`, each lane
-/// on its own grid. Degenerate lanes (`scales[j] = 0`) reconstruct to
-/// `mins[j]` exactly.
-pub fn displacement_norm_q8w(v: &[f64], codes: &[u8], mins: &[f64], scales: &[f64]) -> f64 {
-    debug_assert_eq!(v.len(), codes.len(), "dimension mismatch");
-    debug_assert_eq!(v.len(), mins.len(), "grid dimension mismatch");
-    debug_assert_eq!(v.len(), scales.len(), "grid dimension mismatch");
-    let mut s = 0.0f64;
-    let mut amax = 0.0f64;
-    for (j, (x, c)) in v.iter().zip(codes).enumerate() {
-        let r = mins[j] + *c as f64 * scales[j];
-        amax = amax.max(r.abs()).max(x.abs());
-        let d = x - r;
-        s += d * d;
-    }
-    let fudge = 8.0 * f64::EPSILON * amax * (v.len() as f64).sqrt();
-    (s.sqrt() + fudge) * (1.0 + CERT_PAD)
-}
-
-/// [`displacement_norm_q8w`] for the **query** side's wide i32 codes (see
-/// [`Q8W_CODE_CAP`]): identical math, but codes may lie outside
-/// `[0, 255]`, so an in-range-per-lane query reconstructs within half a
-/// grid step even when it falls outside the block's bounding box — this is
-/// what keeps the q8 prune threshold tight on narrow per-leaf grids.
-pub fn displacement_norm_q8w_query(v: &[f64], codes: &[i32], mins: &[f64], scales: &[f64]) -> f64 {
-    debug_assert_eq!(v.len(), codes.len(), "dimension mismatch");
-    debug_assert_eq!(v.len(), mins.len(), "grid dimension mismatch");
-    debug_assert_eq!(v.len(), scales.len(), "grid dimension mismatch");
-    let mut s = 0.0f64;
-    let mut amax = 0.0f64;
-    for (j, (x, c)) in v.iter().zip(codes).enumerate() {
-        let r = mins[j] + *c as f64 * scales[j];
-        amax = amax.max(r.abs()).max(x.abs());
-        let d = x - r;
-        s += d * d;
-    }
-    let fudge = 8.0 * f64::EPSILON * amax * (v.len() as f64).sqrt();
-    (s.sqrt() + fudge) * (1.0 + CERT_PAD)
-}
-
 /// Certified lower bound on the **exact** squared f64 distance `‖q−x‖²`
 /// from the f32 kernel sum `s = dist2_f32(q̂, x̂)` and displacement
 /// overestimates `rq ≥ ‖q−q̂‖`, `rx ≥ ‖x−x̂‖`.
@@ -862,32 +591,6 @@ pub fn lb2_from_f32(s: f32, rq: f64, rx: f64, dim: usize) -> f64 {
     }
     // σ ≥ S/(1+γ); deflate every own rounding toward zero.
     let sigma = s as f64 / ((1.0 + f32_accum_slack(dim)) * (1.0 + CERT_PAD));
-    let lb = (sigma.sqrt() * (1.0 - CERT_PAD) - rq - rx).max(0.0);
-    (lb * lb) * (1.0 - CERT_PAD)
-}
-
-/// Certified lower bound on the exact squared f64 distance from the q8
-/// code-space sum `s = dist2_q8(q̂, x̂)` on a grid of step `scale`, with
-/// displacement overestimates `rq`, `rx` from [`displacement_norm_q8`].
-pub fn lb2_from_q8(s: u64, scale: f64, rq: f64, rx: f64) -> f64 {
-    // ‖q̂−x̂‖ = scale·√s exactly in the reals; deflate the two roundings.
-    let d_hat = scale * (s as f64).sqrt() / (1.0 + CERT_PAD);
-    let lb = (d_hat - rq - rx).max(0.0);
-    (lb * lb) * (1.0 - CERT_PAD)
-}
-
-/// Certified lower bound on the exact squared f64 distance from the
-/// weighted per-dimension q8 kernel sum `s = dist2_q8w(q̂, x̂, w)` with
-/// displacement overestimates `rq`, `rx` from [`displacement_norm_q8w`].
-///
-/// Mirrors [`lb2_from_f32`]: the kernel sum is inexact (weighted f64
-/// accumulation), so it is deflated by [`q8w_accum_slack`] before the
-/// triangle-inequality step. Non-finite sums certify nothing.
-pub fn lb2_from_q8w(s: f64, rq: f64, rx: f64, dim: usize) -> f64 {
-    if !s.is_finite() {
-        return 0.0;
-    }
-    let sigma = s / ((1.0 + q8w_accum_slack(dim)) * (1.0 + CERT_PAD));
     let lb = (sigma.sqrt() * (1.0 - CERT_PAD) - rq - rx).max(0.0);
     (lb * lb) * (1.0 - CERT_PAD)
 }
@@ -909,35 +612,6 @@ pub fn f32_prune_threshold(bound: f64, rq: f64, rx: f64, dim: usize) -> f64 {
     (1.0 + f32_accum_slack(dim)) * (w * w) * (1.0 + CERT_PAD)
 }
 
-/// Phase-1 prune threshold for the q8 tier, in **code space**: a row whose
-/// integer sum `S` satisfies `(S as f64) ≥ q8_prune_threshold(...)` is
-/// certified to have computed f64 `dist2 ≥ bound` (see
-/// [`q8_row_prunable`]). Requires `scale > 0`; degenerate blocks
-/// (`min == max`) must stay on the f64 path.
-pub fn q8_prune_threshold(bound: f64, rq: f64, rx: f64, scale: f64) -> f64 {
-    debug_assert!(scale > 0.0, "degenerate quantization grid");
-    if !bound.is_finite() {
-        return f64::INFINITY;
-    }
-    let w = ((bound * (1.0 + CERT_PAD)).sqrt() + rq + rx) / scale;
-    (w * w) * (1.0 + CERT_PAD)
-}
-
-/// Phase-1 prune threshold for the per-dimension q8 tier: a row whose
-/// weighted kernel sum `S` satisfies `S ≥ q8w_prune_threshold(...)` is
-/// certified to have computed f64 `dist2 ≥ bound` (see
-/// [`q8w_row_prunable`]). Same derivation as [`f32_prune_threshold`], with
-/// [`q8w_accum_slack`] as the accumulation-error budget. The threshold is
-/// the kernel's abandon bound directly — no cast step is needed, the sum
-/// is already f64.
-pub fn q8w_prune_threshold(bound: f64, rq: f64, rx: f64, dim: usize) -> f64 {
-    if !bound.is_finite() {
-        return f64::INFINITY;
-    }
-    let w = (bound * (1.0 + CERT_PAD)).sqrt() + rq + rx;
-    (1.0 + q8w_accum_slack(dim)) * (w * w) * (1.0 + CERT_PAD)
-}
-
 /// The f32 bound to feed [`dist2_f32_bounded`] for a phase-1 threshold `t`
 /// (from [`f32_prune_threshold`]).
 ///
@@ -956,20 +630,6 @@ pub fn f32_kernel_bound(t: f64) -> f32 {
     }
 }
 
-/// The integer bound to feed [`dist2_q8_bounded`] for a phase-1 threshold
-/// `t` (from [`q8_prune_threshold`]): the largest sum **not** certified
-/// prunable, so the kernel's strict `> bound` abandon fires exactly on
-/// `S ≥ t`.
-pub fn q8_kernel_bound(t: f64) -> u64 {
-    if t <= 0.0 {
-        0
-    } else if t >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        (t.ceil() as u64).saturating_sub(1)
-    }
-}
-
 /// The certified phase-1 decision for one f32-tier row: `true` iff the row
 /// provably has computed f64 `dist2 ≥` the bound that produced `t` via
 /// [`f32_prune_threshold`].
@@ -982,27 +642,6 @@ pub fn f32_row_prunable(s: Option<f32>, t: f64) -> bool {
     match s {
         None => true,
         Some(v) => v.is_finite() && v as f64 >= t,
-    }
-}
-
-/// The certified phase-1 decision for one q8-tier row (counterpart of
-/// [`f32_row_prunable`]; `(v as f64)` is exact for any realistic sum).
-pub fn q8_row_prunable(s: Option<u64>, t: f64) -> bool {
-    match s {
-        None => true,
-        Some(v) => v as f64 >= t,
-    }
-}
-
-/// The certified phase-1 decision for one weighted q8-tier row. `None` is
-/// certified because [`dist2_q8w_bounded_depth`] abandons on `sum > t`
-/// with monotone non-negative accumulation (and an overflowed sum implies
-/// an exact sum beyond any finite threshold); finite `Some` compares
-/// against `t` in f64 directly.
-pub fn q8w_row_prunable(s: Option<f64>, t: f64) -> bool {
-    match s {
-        None => true,
-        Some(v) => v.is_finite() && v >= t,
     }
 }
 
@@ -1126,7 +765,7 @@ mod tests {
         let zeros = vec![0.0f64; CHECKPOINT_LANES + 1];
         let got = dist2_bounded(&tail_heavy, &zeros, 1.0);
         assert_eq!(got, Some(100.0), "tail coordinates must not checkpoint");
-        // The f32 and q8 bounded kernels share the cadence.
+        // The f32 bounded kernel shares the cadence.
         let big32: Vec<f32> = big.iter().map(|&v| v as f32).collect();
         let zero32 = vec![0.0f32; big.len()];
         assert_eq!(dist2_f32_bounded(&big32, &zero32, 1.0), None);
@@ -1135,15 +774,6 @@ mod tests {
         assert_eq!(
             dist2_f32_bounded(&t32, &vec![0.0f32; t32.len()], 1.0),
             Some(100.0)
-        );
-        let bigq = vec![200u8; CHECKPOINT_LANES * 2];
-        let zeroq = vec![0u8; CHECKPOINT_LANES * 2];
-        assert_eq!(dist2_q8_bounded(&bigq, &zeroq, 10), None);
-        let mut tq = vec![0u8; CHECKPOINT_LANES + 1];
-        tq[CHECKPOINT_LANES] = 200;
-        assert_eq!(
-            dist2_q8_bounded(&tq, &vec![0u8; tq.len()], 10),
-            Some(200 * 200)
         );
     }
 
@@ -1167,24 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn q8_kernel_is_exact_integer_arithmetic() {
-        for dim in [1usize, 3, 4, 5, 8, 13, 16, 31] {
-            let a: Vec<u8> = (0..dim).map(|i| (i * 37 % 256) as u8).collect();
-            let b: Vec<u8> = (0..dim).map(|i| (i * 91 % 256) as u8).collect();
-            let naive: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| {
-                    let d = x as i64 - y as i64;
-                    (d * d) as u64
-                })
-                .sum();
-            assert_eq!(dist2_q8(&a, &b), naive, "dim {dim}");
-            assert_eq!(dist2_q8_bounded(&a, &b, u64::MAX), Some(naive));
-        }
-    }
-
-    #[test]
     fn tier_batches_match_row_kernels() {
         let dim = 7;
         let rows = 5;
@@ -1198,21 +810,11 @@ mod tests {
             assert_eq!(out32[r].to_bits(), dist2_f32(&q32, row).to_bits());
             assert_eq!(bounded32[r].unwrap().to_bits(), out32[r].to_bits());
         }
-        let blockq: Vec<u8> = (0..rows * dim).map(|i| (i * 53 % 256) as u8).collect();
-        let qq: Vec<u8> = (0..dim).map(|i| (i * 29 % 256) as u8).collect();
-        let mut outq = vec![0u64; rows];
-        dist2_batch_q8(&qq, &blockq, dim, &mut outq);
-        let mut boundedq = vec![None; rows];
-        dist2_batch_q8_bounded(&qq, &blockq, dim, u64::MAX, &mut boundedq);
-        for (r, row) in blockq.chunks_exact(dim).enumerate() {
-            assert_eq!(outq[r], dist2_q8(&qq, row));
-            assert_eq!(boundedq[r], Some(outq[r]));
-        }
     }
 
     #[test]
     fn kernel_bounds_round_in_the_safe_direction() {
-        // f32: the cast bound never lands below the threshold.
+        // The cast bound never lands below the threshold.
         for t in [0.0, 1e-30, 1.0, 1e30, 1e38, 1e39, f64::INFINITY] {
             let b = f32_kernel_bound(t);
             assert!(b as f64 >= t || b == f32::INFINITY, "t={t}, b={b}");
@@ -1220,17 +822,6 @@ mod tests {
                 assert_eq!(b, f32::INFINITY, "overflowing t must disable abandon");
             }
         }
-        // q8: for positive thresholds the abandon test (sum > bound) fires
-        // exactly on sum >= t — tight, not merely safe.
-        for t in [0.5f64, 1.0, 1.5, 2.0, 65025.0] {
-            let b = q8_kernel_bound(t);
-            for s in 0u64..5 {
-                assert_eq!(s > b, s as f64 >= t, "t={t}, s={s}");
-            }
-        }
-        assert_eq!(q8_kernel_bound(0.0), 0);
-        assert_eq!(q8_kernel_bound(-3.0), 0);
-        assert_eq!(q8_kernel_bound(1e300), u64::MAX);
     }
 
     #[test]
@@ -1238,28 +829,12 @@ mod tests {
         for dim in [1usize, 4, 7, 16] {
             let (a, b) = vecs(dim);
             let exact = dist2(&a, &b);
-            // f32 tier.
             let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
             let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
             let rq = displacement_norm_f32(&a, &a32);
             let rx = displacement_norm_f32(&b, &b32);
             let lb = lb2_from_f32(dist2_f32(&a32, &b32), rq, rx, dim);
             assert!(lb <= exact, "f32 dim {dim}: lb {lb} > exact {exact}");
-            // q8 tier on a grid covering both vectors.
-            let min = a.iter().chain(&b).cloned().fold(f64::INFINITY, f64::min);
-            let max = a
-                .iter()
-                .chain(&b)
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let scale = ((max - min) / 255.0).max(f64::MIN_POSITIVE);
-            let code = |v: f64| (((v - min) / scale).round().clamp(0.0, 255.0)) as u8;
-            let ca: Vec<u8> = a.iter().map(|&v| code(v)).collect();
-            let cb: Vec<u8> = b.iter().map(|&v| code(v)).collect();
-            let rq = displacement_norm_q8(&a, &ca, min, scale);
-            let rx = displacement_norm_q8(&b, &cb, min, scale);
-            let lb = lb2_from_q8(dist2_q8(&ca, &cb), scale, rq, rx);
-            assert!(lb <= exact, "q8 dim {dim}: lb {lb} > exact {exact}");
         }
     }
 
@@ -1304,129 +879,42 @@ mod tests {
                     wj * d
                 })
                 .sum();
-            let got = dist2_q8w(&a, &b, &w);
+            // Unbounded survival returns the full sum, and the checkpoint
+            // cadence matches the other kernels.
+            let (s, cp) = dist2_q8w_bounded_depth(&a, &b, &w, f64::INFINITY);
+            let got = s.unwrap();
             assert!(
                 (got - naive).abs() <= 1e-12 * naive.max(1.0),
                 "dim {dim}: {got} vs {naive}"
             );
-            // Unbounded survival is bit-identical to the plain kernel, and
-            // the checkpoint cadence matches the other tiers.
-            let (s, cp) = dist2_q8w_bounded_depth(&a, &b, &w, f64::INFINITY);
-            assert_eq!(s.unwrap().to_bits(), got.to_bits(), "dim {dim}");
             assert_eq!(cp, (dim / CHECKPOINT_LANES) as u64);
-            assert_eq!(dist2_q8w_bounded(&a, &b, &w, f64::INFINITY), Some(got));
+            // The batch form runs the same kernel per row.
+            let mut out = vec![None; 2];
+            let block: Vec<u8> = b.iter().chain(&b).copied().collect();
+            let (ab, _) =
+                dist2_batch_q8w_bounded_depth(&a, &block, &w, dim, f64::INFINITY, &mut out);
+            assert_eq!(ab, 0);
+            assert_eq!(out, vec![Some(got); 2], "dim {dim}");
         }
         // Abandon fires at the checkpoint, never in the tail.
         let big = vec![200i32; CHECKPOINT_LANES * 2];
         let zero = vec![0u8; CHECKPOINT_LANES * 2];
         let w = vec![1.0f64; CHECKPOINT_LANES * 2];
-        assert_eq!(dist2_q8w_bounded(&big, &zero, &w, 10.0), None);
+        assert_eq!(dist2_q8w_bounded_depth(&big, &zero, &w, 10.0), (None, 1));
         let mut tq = vec![0i32; CHECKPOINT_LANES + 1];
         tq[CHECKPOINT_LANES] = 200;
         let w = vec![1.0f64; CHECKPOINT_LANES + 1];
         assert_eq!(
-            dist2_q8w_bounded(&tq, &vec![0u8; tq.len()], &w, 10.0),
+            dist2_q8w_bounded_depth(&tq, &vec![0u8; tq.len()], &w, 10.0).0,
             Some(40_000.0)
         );
-        // Wide codes at the cap stay exact: d² = (2²⁵ + 255)² round-trips
+        // Wide codes at the cap stay exact: d² = (2²⁵ − 255)² round-trips
         // through f64 with no rounding.
         let far = vec![Q8W_CODE_CAP];
         let row = vec![255u8];
         let d = Q8W_CODE_CAP as i64 - 255;
-        assert_eq!(dist2_q8w(&[-255i32], &row, &[1.0]), (510i64 * 510) as f64);
-        assert_eq!(dist2_q8w(&far, &row, &[1.0]), (d * d) as f64);
-    }
-
-    #[test]
-    fn q8w_lower_bounds_stay_below_exact_distances() {
-        for dim in [1usize, 4, 7, 16] {
-            let (mut a, mut bq) = vecs(dim);
-            // Per-lane grids spanning both vectors, one degenerate lane
-            // forced equal so its scale collapses to zero.
-            a[0] = 0.5;
-            bq[0] = 0.5;
-            let mins: Vec<f64> = (0..dim).map(|j| a[j].min(bq[j])).collect();
-            let maxs: Vec<f64> = (0..dim).map(|j| a[j].max(bq[j])).collect();
-            let scales: Vec<f64> = mins
-                .iter()
-                .zip(&maxs)
-                .map(|(&lo, &hi)| if hi > lo { (hi - lo) / 255.0 } else { 0.0 })
-                .collect();
-            let w: Vec<f64> = scales.iter().map(|&s| s * s).collect();
-            let code = |v: f64, j: usize| {
-                if scales[j] > 0.0 {
-                    (((v - mins[j]) / scales[j]).round().clamp(0.0, 255.0)) as u8
-                } else {
-                    0
-                }
-            };
-            let qcode = |v: f64, j: usize| -> i32 {
-                if scales[j] > 0.0 {
-                    ((v - mins[j]) / scales[j])
-                        .round()
-                        .clamp(-(Q8W_CODE_CAP as f64), Q8W_CODE_CAP as f64)
-                        as i32
-                } else {
-                    0
-                }
-            };
-            let ca: Vec<i32> = a.iter().enumerate().map(|(j, &v)| qcode(v, j)).collect();
-            let cb: Vec<u8> = bq.iter().enumerate().map(|(j, &v)| code(v, j)).collect();
-            let rq = displacement_norm_q8w_query(&a, &ca, &mins, &scales);
-            let rx = displacement_norm_q8w(&bq, &cb, &mins, &scales);
-            let exact = dist2(&a, &bq);
-            let lb = lb2_from_q8w(dist2_q8w(&ca, &cb, &w), rq, rx, dim);
-            assert!(lb <= exact, "q8w dim {dim}: lb {lb} > exact {exact}");
-            // The prune threshold is safe: a certified row really is ≥ the
-            // bound that produced the threshold.
-            let bound = exact * 0.5;
-            let t = q8w_prune_threshold(bound, rq, rx, dim);
-            let s = dist2_q8w(&ca, &cb, &w);
-            if q8w_row_prunable(Some(s), t) {
-                assert!(exact >= bound, "q8w dim {dim}: false prune");
-            }
-        }
-    }
-
-    /// Pins the tentpole's certification claim: the per-block radii, the
-    /// prune thresholds and the abandon logic are all **permutation
-    /// invariant** — the same multiset of coordinates in any lane order
-    /// yields valid certificates, because the radii are inflated
-    /// overestimates of order-independent real norms and the thresholds
-    /// only consume those radii plus the dimension. A row pruned on the
-    /// permuted layout is therefore provably `≥ bound` in natural order.
-    #[test]
-    fn certification_is_permutation_invariant() {
-        let dim = 16;
-        let (a, b) = vecs(dim);
-        // An "energy" permutation: reverse order (any permutation works).
-        let perm: Vec<usize> = (0..dim).rev().collect();
-        let pa: Vec<f64> = perm.iter().map(|&p| a[p]).collect();
-        let pb: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
-        let natural = dist2(&a, &b);
-        let permuted = dist2(&pa, &pb);
-        // Not bit-identical in general — that is exactly why the energy
-        // scan is a certified *filter*, not a re-ordered answer path.
-        assert!((natural - permuted).abs() <= 1e-12 * natural.max(1.0));
-        // An abandon under the padded bound certifies the natural kernel
-        // value is ≥ the unpadded bound.
-        for frac in [0.1, 0.5, 0.9, 0.999] {
-            let bound = natural * frac;
-            if dist2_bounded(&pa, &pb, order_prune_bound(bound)).is_none() {
-                assert!(natural >= bound, "frac {frac}: false permuted prune");
-            }
-        }
-        // Infinite bounds pass through untouched (abandon disabled).
-        assert_eq!(order_prune_bound(f64::INFINITY), f64::INFINITY);
-        // f32 certification survives permutation: permuted mirrors +
-        // natural-order radii still lower-bound the exact distance.
-        let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let pa32: Vec<f32> = perm.iter().map(|&p| a32[p]).collect();
-        let pb32: Vec<f32> = perm.iter().map(|&p| b32[p]).collect();
-        let rq = displacement_norm_f32(&a, &a32);
-        let rx = displacement_norm_f32(&b, &b32);
-        let lb = lb2_from_f32(dist2_f32(&pa32, &pb32), rq, rx, dim);
-        assert!(lb <= natural, "permuted f32 lb {lb} > exact {natural}");
+        let exact = |a: &[i32]| dist2_q8w_bounded_depth(a, &row, &[1.0], f64::INFINITY).0;
+        assert_eq!(exact(&[-255i32]), Some((510i64 * 510) as f64));
+        assert_eq!(exact(&far), Some((d * d) as f64));
     }
 }

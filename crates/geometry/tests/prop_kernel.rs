@@ -49,23 +49,6 @@ fn scaled_pair(max_dim: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     })
 }
 
-/// The arena's q8 quantization rule: nearest grid point, clamped to the
-/// code range (out-of-grid queries clamp; the displacement norm covers it).
-fn q8_quantize(v: &[f64], min: f64, scale: f64) -> Vec<u8> {
-    v.iter()
-        .map(|&c| ((c - min) / scale).round().clamp(0.0, 255.0) as u8)
-        .collect()
-}
-
-/// A row-derived q8 grid, `None` when degenerate (all coordinates equal),
-/// matching the arena's "stay on f64" rule.
-fn q8_grid(x: &[f64]) -> Option<(f64, f64)> {
-    let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let scale = (hi - lo) / 255.0;
-    (scale > 0.0 && scale.is_finite()).then_some((lo, scale))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -131,20 +114,6 @@ proptest! {
     }
 
     #[test]
-    fn q8_lower_bound_never_exceeds_the_exact_distance((q, x) in scaled_pair(64)) {
-        if let Some((min, scale)) = q8_grid(&x) {
-            let xc = q8_quantize(&x, min, scale);
-            let qc = q8_quantize(&q, min, scale);
-            let rx = kernel::displacement_norm_q8(&x, &xc, min, scale);
-            let rq = kernel::displacement_norm_q8(&q, &qc, min, scale);
-            let s = kernel::dist2_q8(&qc, &xc);
-            let lb = kernel::lb2_from_q8(s, scale, rq, rx);
-            let exact = kernel::dist2(&q, &x);
-            prop_assert!(lb <= exact, "dim {}: lb {lb} > dist2 {exact}", q.len());
-        }
-    }
-
-    #[test]
     fn f32_certified_prune_implies_dist2_at_least_bound(
         (q, x) in scaled_pair(64),
         frac in 0.0f64..2.0,
@@ -162,29 +131,6 @@ proptest! {
             // A certified prune must never drop a row whose computed f64
             // distance is inside the bound.
             prop_assert!(exact >= bound, "dim {dim}: pruned although {exact} < {bound}");
-        }
-    }
-
-    #[test]
-    fn q8_certified_prune_implies_dist2_at_least_bound(
-        (q, x) in scaled_pair(64),
-        frac in 0.0f64..2.0,
-    ) {
-        if let Some((min, scale)) = q8_grid(&x) {
-            let xc = q8_quantize(&x, min, scale);
-            let qc = q8_quantize(&q, min, scale);
-            let rx = kernel::displacement_norm_q8(&x, &xc, min, scale);
-            let rq = kernel::displacement_norm_q8(&q, &qc, min, scale);
-            let exact = kernel::dist2(&q, &x);
-            let bound = exact * frac;
-            let t = kernel::q8_prune_threshold(bound, rq, rx, scale);
-            let s = kernel::dist2_q8_bounded(&qc, &xc, kernel::q8_kernel_bound(t));
-            if kernel::q8_row_prunable(s, t) {
-                prop_assert!(
-                    exact >= bound,
-                    "dim {}: pruned although {exact} < {bound}", q.len()
-                );
-            }
         }
     }
 

@@ -22,9 +22,9 @@
 //! the other disks can prune against the global state of the query.
 //!
 //! Leaf scans run through a [`LeafScanner`] at a configurable
-//! [`ScanTier`]: the cheap tiers first sweep the leaf's f32 or int8 mirror
-//! with certified lower-bound kernels and re-rank only the survivors with
-//! the canonical f64 kernels, so the answers stay bit-identical to the
+//! [`ScanTier`]: the cheap tier first sweeps the leaf's f32 mirror with
+//! certified lower-bound kernels and re-ranks only the survivors with the
+//! canonical f64 kernels, so the answers stay bit-identical to the
 //! pure-f64 scan while most rows never pay for f64 arithmetic (see
 //! `DESIGN.md`, "Precision tiers").
 
@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use parsim_geometry::{kernel, Point};
 
 use crate::node::{LeafEntries, Node, NodeId};
-use crate::params::ScanOrder;
 use crate::tree::{SpatialTree, VisitOutcome};
 
 /// Which k-NN algorithm to run.
@@ -52,7 +51,7 @@ pub enum KnnAlgorithm {
 /// "Precision tiers").
 ///
 /// Every tier returns answers **bit-identical** to [`ScanTier::F64`]: the
-/// cheap tiers only *filter* leaf rows using certified lower bounds on the
+/// cheap tier only *filters* leaf rows using certified lower bounds on the
 /// f64 distance (low-precision kernel sum widened by per-block error
 /// bounds), and every survivor is re-ranked by the canonical f64 batch
 /// kernel. A filtered row is provably at least as far as the current
@@ -65,8 +64,6 @@ pub enum ScanTier {
     F64,
     /// Phase 1 over the f32 mirror of each leaf block.
     F32,
-    /// Phase 1 over the 8-bit scalar-quantized mirror of each leaf block.
-    Q8,
 }
 
 /// One answer of a k-NN query.
@@ -102,33 +99,30 @@ pub struct SearchStats {
     pub coalesced: u64,
     /// Candidate points whose **f64** distance evaluation was started. On
     /// [`ScanTier::F64`] this is every leaf row scanned (abandoned rows
-    /// included); on the cheap tiers only phase-1 survivors start an f64
+    /// included); on [`ScanTier::F32`] only phase-1 survivors start an f64
     /// evaluation, so this counter *is* the f64 kernel cost of the query.
     pub dist_evals: u64,
     /// Candidate points whose full f64 distance was never computed. On
     /// [`ScanTier::F64`]: abandoned mid-distance by a partial-sum
-    /// checkpoint (a subset of `dist_evals`). On the cheap tiers: rows
+    /// checkpoint (a subset of `dist_evals`). On [`ScanTier::F32`]: rows
     /// whose certified lower bound already cleared the pruning radius, so
     /// the f64 kernel was skipped entirely (disjoint from `dist_evals`).
     pub dist_evals_saved: u64,
-    /// Phase-1 lower-bound kernel evaluations (f32 or q8 rows scanned).
-    /// Zero on [`ScanTier::F64`], and zero for leaf blocks the cheap tiers
-    /// route to the f64 path (no finite pruning radius yet, or a
-    /// degenerate quantization grid).
+    /// Phase-1 lower-bound kernel evaluations (f32 rows scanned). Zero on
+    /// [`ScanTier::F64`], and zero for leaf blocks [`ScanTier::F32`] routes
+    /// to the f64 path (no finite pruning radius yet).
     pub lb_evals: u64,
     /// Phase-1 survivors re-ranked by the exact f64 batch kernel. Always
     /// `≤ lb_evals`; each re-rank also counts into `dist_evals`. Zero on
-    /// [`ScanTier::F64`] with the natural scan order (the energy-ordered
-    /// f64 filter re-ranks its survivors too).
+    /// [`ScanTier::F64`].
     pub rerank_evals: u64,
     /// Rows a bounded kernel abandoned at a partial-sum checkpoint, on any
-    /// tier (f64 early abandonment, f32/q8 phase-1 mid-kernel abandons).
+    /// tier (f64 early abandonment, f32 phase-1 mid-kernel abandons).
     /// Always a subset of `dist_evals_saved`.
     pub abandoned_rows: u64,
     /// Total 4-lane checkpoints the rows in `abandoned_rows` evaluated
     /// before abandoning. The mean abandon depth in *coordinates* is
-    /// `4 · abandon_checkpoints / abandoned_rows` — the figure the
-    /// energy scan order is designed to shrink.
+    /// `4 · abandon_checkpoints / abandoned_rows`.
     pub abandon_checkpoints: u64,
 }
 
@@ -219,8 +213,8 @@ impl SpatialTree {
     ///
     /// The answer list is identical for every tier — the cheap tiers only
     /// skip rows certified farther than the pruning radius — but the work
-    /// counters move: on [`ScanTier::F32`] / [`ScanTier::Q8`] most leaf
-    /// rows cost one [`SearchStats::lb_evals`] instead of an f64
+    /// counters move: on [`ScanTier::F32`] most leaf rows cost one
+    /// [`SearchStats::lb_evals`] instead of an f64
     /// [`SearchStats::dist_evals`].
     pub fn knn_traced_tiered(
         &self,
@@ -230,33 +224,12 @@ impl SpatialTree {
         shared: Option<&SharedBound>,
         tier: ScanTier,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_traced_ordered(query, k, algorithm, shared, tier, ScanOrder::Natural)
-    }
-
-    /// Like [`SpatialTree::knn_traced_tiered`], with an explicit
-    /// [`ScanOrder`] for the f64 leaf sweeps.
-    ///
-    /// [`ScanOrder::Energy`] runs the certified permuted filter over leaves
-    /// that carry an energy permutation (see `DESIGN.md`, "Scan order");
-    /// answers are bit-identical either way. The f32/q8 phase-1 sweeps
-    /// always follow the leaf's physical layout regardless of this knob —
-    /// their mirrors only *exist* in storage order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn knn_traced_ordered(
-        &self,
-        query: &Point,
-        k: usize,
-        algorithm: KnnAlgorithm,
-        shared: Option<&SharedBound>,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> (Vec<Neighbor>, SearchStats) {
         assert_eq!(query.dim(), self.params().dim, "query dimension mismatch");
         let mut stats = SearchStats::default();
         if k == 0 || self.is_empty() {
             return (Vec::new(), stats);
         }
-        let mut scanner = LeafScanner::with_order(tier, order);
+        let mut scanner = LeafScanner::new(tier);
         let result = match algorithm {
             KnnAlgorithm::Rkv => {
                 let mut best = BoundedMaxHeap::new(k);
@@ -353,31 +326,19 @@ fn prune_bound(best: &BoundedMaxHeap, shared: Option<&SharedBound>) -> f64 {
 /// the per-query scratch buffers of the two-phase scan.
 ///
 /// One scanner serves one query. The f32 query mirror is cast once, on the
-/// first leaf; the per-block state — query codes on the leaf's
-/// quantization grid, phase-1 sums, the survivor gather — is overwritten
-/// by each `scan` call. The search driver ([`ForestCursor`], the
-/// traced entry points) owns the scanner so the scratch allocations
-/// amortize over every leaf of the search.
+/// first leaf; the per-block state — phase-1 sums, the survivor gather —
+/// is overwritten by each `scan` call. The search driver
+/// ([`ForestCursor`], the traced entry points) owns the scanner so the
+/// scratch allocations amortize over every leaf of the search.
 #[derive(Debug)]
 pub struct LeafScanner {
     tier: ScanTier,
-    /// Whether f64 sweeps over energy-permuted leaves run the certified
-    /// permuted filter (the f32/q8 mirrors always follow storage order).
-    order: ScanOrder,
     /// The query cast to f32, built on first use (constant per query).
     q32: Vec<f32>,
     /// Overestimate of `‖q − q32‖` (constant per query).
     rq32: f64,
-    /// The query permuted into the current block's scan order (per block).
-    qp: Vec<f64>,
-    /// The f32 query permuted into the current block's scan order.
-    q32p: Vec<f32>,
-    /// The query encoded on the current block's q8 grids, in wide i32
-    /// codes (per block).
-    qcodes: Vec<i32>,
     /// Phase-1 sums (per block; `None` = abandoned at a checkpoint).
     lb32: Vec<Option<f32>>,
-    lbq8: Vec<Option<f64>>,
     /// Row indices that survived phase 1 (per block).
     survivors: Vec<usize>,
     /// Survivor rows gathered contiguously for the f64 re-rank batch.
@@ -387,24 +348,13 @@ pub struct LeafScanner {
 }
 
 impl LeafScanner {
-    /// A fresh scanner running leaf scans at `tier`, natural f64 order.
+    /// A fresh scanner running leaf scans at `tier`.
     pub fn new(tier: ScanTier) -> Self {
-        LeafScanner::with_order(tier, ScanOrder::Natural)
-    }
-
-    /// A fresh scanner running leaf scans at `tier` with the given f64
-    /// scan order.
-    pub fn with_order(tier: ScanTier, order: ScanOrder) -> Self {
         LeafScanner {
             tier,
-            order,
             q32: Vec::new(),
             rq32: 0.0,
-            qp: Vec::new(),
-            q32p: Vec::new(),
-            qcodes: Vec::new(),
             lb32: Vec::new(),
-            lbq8: Vec::new(),
             survivors: Vec::new(),
             gather: Vec::new(),
             d2: Vec::new(),
@@ -414,11 +364,6 @@ impl LeafScanner {
     /// The tier this scanner runs at.
     pub fn tier(&self) -> ScanTier {
         self.tier
-    }
-
-    /// The f64 scan order this scanner runs with.
-    pub fn order(&self) -> ScanOrder {
-        self.order
     }
 
     /// Scans one leaf block, offering every non-filtered candidate to
@@ -438,14 +383,13 @@ impl LeafScanner {
         match self.tier {
             ScanTier::F64 => self.scan_f64(entries, query, best, shared, stats),
             ScanTier::F32 => self.scan_f32(entries, query, best, shared, stats),
-            ScanTier::Q8 => self.scan_q8(entries, query, best, shared, stats),
         }
         if let (true, Some(bound)) = (best.is_full(), shared) {
             bound.tighten(best.worst());
         }
     }
 
-    /// The canonical f64 scan, also the fallback of the cheap tiers.
+    /// The canonical f64 scan, also the fallback of the f32 tier.
     ///
     /// When the candidate heap cannot fill mid-block and no concurrent
     /// search has published a bound, the pruning radius is `+∞` for every
@@ -478,8 +422,6 @@ impl LeafScanner {
             for (i, &d2) in self.d2.iter().enumerate() {
                 best.offer(d2, entries.row(i), entries.item(i));
             }
-        } else if self.order == ScanOrder::Energy && entries.scan_perm().is_some() {
-            self.scan_f64_energy(entries, query, best, shared, stats);
         } else {
             for (row, item) in entries.iter() {
                 stats.dist_evals += 1;
@@ -492,60 +434,6 @@ impl LeafScanner {
                         stats.abandoned_rows += 1;
                         stats.abandon_checkpoints += cp;
                     }
-                }
-            }
-        }
-    }
-
-    /// The energy-ordered f64 sweep: a certified *filter* over the leaf's
-    /// permuted rows.
-    ///
-    /// Permuting the summation order changes 4-lane FP rounding, so the
-    /// permuted partial sums are not bit-identical to the natural kernel's
-    /// — a row is therefore only abandoned when its permuted partial sum
-    /// clears [`kernel::order_prune_bound`], which certifies that the
-    /// *natural-order computed* distance is at least the pruning radius
-    /// (same contract as the f32/q8 phase-1 filters). Survivors are
-    /// re-ranked with the canonical natural-order kernel, so offered
-    /// distances — and hence answers — stay bit-identical to the natural
-    /// scan. Because the high-variance lanes come first, abandons fire at
-    /// earlier checkpoints than a natural sweep's.
-    fn scan_f64_energy(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        shared: Option<&SharedBound>,
-        stats: &mut SearchStats,
-    ) {
-        let perm = entries.scan_perm().expect("energy leaf has a permutation");
-        let dim = entries.dim();
-        let q = query.coords();
-        self.qp.clear();
-        self.qp.extend(perm.iter().map(|&p| q[p as usize]));
-        for (i, srow) in entries.flat_scan_coords().chunks_exact(dim).enumerate() {
-            let bound = prune_bound(best, shared);
-            if bound == f64::INFINITY {
-                // Nothing can be filtered yet; run the canonical kernel.
-                let row = entries.row(i);
-                stats.dist_evals += 1;
-                best.offer(kernel::dist2(q, row), row, entries.item(i));
-                continue;
-            }
-            stats.lb_evals += 1;
-            let (s, cp) =
-                kernel::dist2_bounded_depth(&self.qp, srow, kernel::order_prune_bound(bound));
-            match s {
-                Some(_) => {
-                    let row = entries.row(i);
-                    stats.dist_evals += 1;
-                    stats.rerank_evals += 1;
-                    best.offer(kernel::dist2(q, row), row, entries.item(i));
-                }
-                None => {
-                    stats.dist_evals_saved += 1;
-                    stats.abandoned_rows += 1;
-                    stats.abandon_checkpoints += cp;
                 }
             }
         }
@@ -573,25 +461,12 @@ impl LeafScanner {
             self.q32 = query.coords().iter().map(|&c| c as f32).collect();
             self.rq32 = kernel::displacement_norm_f32(query.coords(), &self.q32);
         }
-        // The f32 mirror lives in the leaf's physical scan order; permute
-        // the query cast to match. Casting is elementwise, so permuting
-        // the cast equals casting the permuted query, and the displacement
-        // radius is a norm — invariant under the permutation.
-        let q32: &[f32] = match entries.scan_perm() {
-            None => &self.q32,
-            Some(perm) => {
-                let q32 = &self.q32;
-                self.q32p.clear();
-                self.q32p.extend(perm.iter().map(|&p| q32[p as usize]));
-                &self.q32p
-            }
-        };
         // The threshold is frozen at block start: a later (tighter) radius
         // only makes rows certified against this one *more* prunable.
         let t = kernel::f32_prune_threshold(bound, self.rq32, entries.f32_radius(), dim);
         self.lb32.resize(n, None);
         let (ab, cp) = kernel::dist2_batch_f32_bounded_depth(
-            q32,
+            &self.q32,
             entries.flat_f32(),
             dim,
             kernel::f32_kernel_bound(t),
@@ -603,53 +478,6 @@ impl LeafScanner {
         self.survivors.clear();
         for (i, &s) in self.lb32.iter().enumerate() {
             if kernel::f32_row_prunable(s, t) {
-                stats.dist_evals_saved += 1;
-            } else {
-                self.survivors.push(i);
-            }
-        }
-        self.rerank(entries, query, best, stats);
-    }
-
-    /// Phase 1 over the block's 8-bit scalar-quantized mirror, using the
-    /// per-dimension grids through the weighted q8 kernels. Blocks with a
-    /// degenerate grid (empty, or a coordinate range too wide for the grid
-    /// arithmetic) certify nothing and stay exact. The mirror lives in the
-    /// leaf's physical scan order; `quantize_query` encodes the query in
-    /// the same order, so no extra permute is needed here.
-    fn scan_q8(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        shared: Option<&SharedBound>,
-        stats: &mut SearchStats,
-    ) {
-        let bound = prune_bound(best, shared);
-        if entries.q8_grid().is_none() || bound == f64::INFINITY {
-            return self.scan_f64(entries, query, best, shared, stats);
-        }
-        let dim = entries.dim();
-        let n = entries.len();
-        let rq = entries.quantize_query(query.coords(), &mut self.qcodes);
-        // The weighted kernel accumulates in f64, so the certified
-        // threshold is the kernel abandon bound directly.
-        let t = kernel::q8w_prune_threshold(bound, rq, entries.q8_radius(), dim);
-        self.lbq8.resize(n, None);
-        let (ab, cp) = kernel::dist2_batch_q8w_bounded_depth(
-            &self.qcodes,
-            entries.codes(),
-            entries.q8_weights(),
-            dim,
-            t,
-            &mut self.lbq8,
-        );
-        stats.lb_evals += n as u64;
-        stats.abandoned_rows += ab;
-        stats.abandon_checkpoints += cp;
-        self.survivors.clear();
-        for (i, &s) in self.lbq8.iter().enumerate() {
-            if kernel::q8w_row_prunable(s, t) {
                 stats.dist_evals_saved += 1;
             } else {
                 self.survivors.push(i);
@@ -719,28 +547,14 @@ pub fn forest_knn_traced_tiered(
     algorithm: KnnAlgorithm,
     tier: ScanTier,
 ) -> (Vec<Neighbor>, Vec<SearchStats>) {
-    forest_knn_traced_ordered(trees, query, k, algorithm, tier, ScanOrder::Natural)
-}
-
-/// Like [`forest_knn_traced_tiered`], with an explicit [`ScanOrder`] for
-/// the f64 leaf sweeps (see [`SpatialTree::knn_traced_ordered`]). Answers
-/// are identical across orders; only the work counters move.
-pub fn forest_knn_traced_ordered(
-    trees: &[&SpatialTree],
-    query: &Point,
-    k: usize,
-    algorithm: KnnAlgorithm,
-    tier: ScanTier,
-    order: ScanOrder,
-) -> (Vec<Neighbor>, Vec<SearchStats>) {
     let mut stats = vec![SearchStats::default(); trees.len()];
     if k == 0 {
         return (Vec::new(), stats);
     }
     let result = match algorithm {
-        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, tier, order, &mut stats),
+        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, tier, &mut stats),
         KnnAlgorithm::Hs => {
-            let mut scanner = LeafScanner::with_order(tier, order);
+            let mut scanner = LeafScanner::new(tier);
             hs_search(trees, query, k, None, &mut scanner, &mut stats)
         }
     };
@@ -754,10 +568,9 @@ fn forest_knn_rkv(
     query: &Point,
     k: usize,
     tier: ScanTier,
-    order: ScanOrder,
     stats: &mut [SearchStats],
 ) -> Vec<Neighbor> {
-    let mut cursor = ForestCursor::with_tier_order(k, tier, order);
+    let mut cursor = ForestCursor::with_tier(k, tier);
     let itinerary = forest_itinerary(trees, query);
     for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
         if cursor.prunable(min_dist) {
@@ -825,26 +638,15 @@ impl ForestCursor {
     /// the tier's cost split across `lb_evals` / `rerank_evals` /
     /// `dist_evals`.
     pub fn with_tier(k: usize, tier: ScanTier) -> Self {
-        ForestCursor::with_tier_order(k, tier, ScanOrder::Natural)
-    }
-
-    /// A fresh cursor with an explicit [`ScanOrder`] for the f64 leaf
-    /// sweeps (see [`SpatialTree::knn_traced_ordered`]).
-    pub fn with_tier_order(k: usize, tier: ScanTier, order: ScanOrder) -> Self {
         ForestCursor {
             best: BoundedMaxHeap::new(k),
-            scanner: LeafScanner::with_order(tier, order),
+            scanner: LeafScanner::new(tier),
         }
     }
 
     /// The tier this cursor's leaf scans run at.
     pub fn tier(&self) -> ScanTier {
         self.scanner.tier()
-    }
-
-    /// The f64 scan order this cursor's leaf scans run with.
-    pub fn order(&self) -> ScanOrder {
-        self.scanner.order()
     }
 
     /// True once every tree whose root MINDIST² is at least `min_dist2`
@@ -1360,7 +1162,7 @@ mod tests {
                 .collect();
             for q in &UniformGenerator::new(dim).generate(8, 42) {
                 let want = brute_force_knn(&data, q, 7);
-                for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
+                for tier in [ScanTier::F64, ScanTier::F32] {
                     for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
                         let (got, stats) = tree.knn_traced_tiered(q, 7, algo, None, tier);
                         assert_eq!(got.len(), want.len());
@@ -1380,7 +1182,7 @@ mod tests {
                                 assert_eq!(stats.lb_evals, 0);
                                 assert_eq!(stats.rerank_evals, 0);
                             }
-                            _ => {
+                            ScanTier::F32 => {
                                 assert!(stats.lb_evals > 0, "{tier:?} {algo:?}: phase 1 never ran")
                             }
                         }
@@ -1398,20 +1200,19 @@ mod tests {
         let dim = 8;
         let pts = UniformGenerator::new(dim).generate(2000, 51);
         let tree = build_tree(&pts, dim, TreeVariant::xtree_default());
-        for tier in [ScanTier::F32, ScanTier::Q8] {
-            let (mut base, mut tiered) = (0u64, 0u64);
-            for q in &UniformGenerator::new(dim).generate(10, 52) {
-                base += tree.knn_traced(q, 10, KnnAlgorithm::Rkv, None).1.dist_evals;
-                tiered += tree
-                    .knn_traced_tiered(q, 10, KnnAlgorithm::Rkv, None, tier)
-                    .1
-                    .dist_evals;
-            }
-            assert!(
-                tiered * 2 <= base,
-                "{tier:?}: {tiered} f64 evals vs {base} on the f64 tier"
-            );
+        let tier = ScanTier::F32;
+        let (mut base, mut tiered) = (0u64, 0u64);
+        for q in &UniformGenerator::new(dim).generate(10, 52) {
+            base += tree.knn_traced(q, 10, KnnAlgorithm::Rkv, None).1.dist_evals;
+            tiered += tree
+                .knn_traced_tiered(q, 10, KnnAlgorithm::Rkv, None, tier)
+                .1
+                .dist_evals;
         }
+        assert!(
+            tiered * 2 <= base,
+            "{tier:?}: {tiered} f64 evals vs {base} on the f64 tier"
+        );
     }
 
     #[test]
@@ -1434,19 +1235,18 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (p.clone(), i as u64))
             .collect();
-        for tier in [ScanTier::F32, ScanTier::Q8] {
-            for q in &UniformGenerator::new(dim).generate(10, 62) {
-                let bound = SharedBound::new();
-                let (lres, _) = lt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
-                let (rres, _) = rt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
-                let mut merged: Vec<Neighbor> = lres.into_iter().chain(rres).collect();
-                merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-                merged.truncate(k);
-                let want = brute_force_knn(&data, q, k);
-                assert_eq!(merged.len(), want.len());
-                for (g, w) in merged.iter().zip(&want) {
-                    assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
-                }
+        let tier = ScanTier::F32;
+        for q in &UniformGenerator::new(dim).generate(10, 62) {
+            let bound = SharedBound::new();
+            let (lres, _) = lt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
+            let (rres, _) = rt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
+            let mut merged: Vec<Neighbor> = lres.into_iter().chain(rres).collect();
+            merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
+            merged.truncate(k);
+            let want = brute_force_knn(&data, q, k);
+            assert_eq!(merged.len(), want.len());
+            for (g, w) in merged.iter().zip(&want) {
+                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
             }
         }
     }
@@ -1467,121 +1267,26 @@ mod tests {
             })
             .collect();
         let refs: Vec<&SpatialTree> = trees.iter().collect();
-        for tier in [ScanTier::F32, ScanTier::Q8] {
-            for q in &UniformGenerator::new(dim).generate(6, 72) {
-                let k = 5;
-                let (want, want_stats) =
-                    forest_knn_traced_tiered(&refs, q, k, KnnAlgorithm::Rkv, tier);
-                let mut stats = vec![SearchStats::default(); refs.len()];
-                let mut cursor = ForestCursor::with_tier(k, tier);
-                assert_eq!(cursor.tier(), tier);
-                let itinerary = forest_itinerary(&refs, q);
-                for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
-                    if cursor.prunable(min_dist) {
-                        for &(_, tj) in &itinerary[i..] {
-                            stats[tj].pruned += 1;
-                        }
-                        break;
+        let tier = ScanTier::F32;
+        for q in &UniformGenerator::new(dim).generate(6, 72) {
+            let k = 5;
+            let (want, want_stats) = forest_knn_traced_tiered(&refs, q, k, KnnAlgorithm::Rkv, tier);
+            let mut stats = vec![SearchStats::default(); refs.len()];
+            let mut cursor = ForestCursor::with_tier(k, tier);
+            assert_eq!(cursor.tier(), tier);
+            let itinerary = forest_itinerary(&refs, q);
+            for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
+                if cursor.prunable(min_dist) {
+                    for &(_, tj) in &itinerary[i..] {
+                        stats[tj].pruned += 1;
                     }
-                    cursor.visit(refs[ti], q, &mut stats[ti]);
+                    break;
                 }
-                let got = cursor.finish();
-                assert_eq!(got, want, "{tier:?}: neighbors diverged");
-                assert_eq!(stats, want_stats, "{tier:?}: stats diverged");
+                cursor.visit(refs[ti], q, &mut stats[ti]);
             }
-        }
-    }
-
-    #[test]
-    fn energy_order_is_bit_identical_and_abandons_earlier() {
-        use crate::params::ScanOrder;
-        let dim = 8;
-        for pts in [
-            UniformGenerator::new(dim).generate(1600, 81),
-            ClusteredGenerator::new(dim, 5, 0.04).generate(1600, 82),
-        ] {
-            let build = |order: ScanOrder| {
-                let params = TreeParams::for_dim(dim, TreeVariant::xtree_default())
-                    .unwrap()
-                    .with_capacities(16, 8)
-                    .unwrap()
-                    .with_scan_order(order);
-                let data: Vec<(Point, u64)> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.clone(), i as u64))
-                    .collect();
-                SpatialTree::bulk_load(params, data).unwrap()
-            };
-            let nat = build(ScanOrder::Natural);
-            let en = build(ScanOrder::Energy);
-            let (mut nat_ab, mut en_ab) = (0u64, 0u64);
-            for q in &UniformGenerator::new(dim).generate(10, 83) {
-                for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                    let (want, ns) = nat.knn_traced_ordered(
-                        q,
-                        9,
-                        KnnAlgorithm::Rkv,
-                        None,
-                        tier,
-                        ScanOrder::Natural,
-                    );
-                    let (got, es) = en.knn_traced_ordered(
-                        q,
-                        9,
-                        KnnAlgorithm::Rkv,
-                        None,
-                        tier,
-                        ScanOrder::Energy,
-                    );
-                    assert_eq!(got.len(), want.len(), "{tier:?}");
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
-                        assert_eq!(g.item, w.item, "{tier:?}");
-                    }
-                    // The subset invariant holds on every tier.
-                    assert!(ns.abandoned_rows <= ns.dist_evals_saved);
-                    assert!(es.abandoned_rows <= es.dist_evals_saved);
-                    if tier == ScanTier::F64 {
-                        nat_ab += ns.abandoned_rows;
-                        en_ab += es.abandoned_rows;
-                    }
-                }
-            }
-            // Both layouts abandon rows on the f64 tier; the energy-order
-            // *depth* advantage is measured by ext14, not asserted here.
-            assert!(nat_ab > 0, "natural f64 scan never abandoned a row");
-            assert!(en_ab > 0, "energy f64 filter never abandoned a row");
-        }
-    }
-
-    #[test]
-    fn energy_query_knob_is_bit_identical_on_natural_trees() {
-        // Asking for the energy filter on a tree stored naturally (no
-        // permutations anywhere) must be a plain no-op.
-        use crate::params::ScanOrder;
-        let dim = 6;
-        let pts = UniformGenerator::new(dim).generate(800, 91);
-        let tree = build_tree(&pts, dim, TreeVariant::xtree_default());
-        for q in &UniformGenerator::new(dim).generate(6, 92) {
-            let (want, ws) = tree.knn_traced_ordered(
-                q,
-                5,
-                KnnAlgorithm::Rkv,
-                None,
-                ScanTier::F64,
-                ScanOrder::Natural,
-            );
-            let (got, gs) = tree.knn_traced_ordered(
-                q,
-                5,
-                KnnAlgorithm::Rkv,
-                None,
-                ScanTier::F64,
-                ScanOrder::Energy,
-            );
-            assert_eq!(got, want);
-            assert_eq!(gs, ws, "no permuted leaves: stats must match exactly");
+            let got = cursor.finish();
+            assert_eq!(got, want, "{tier:?}: neighbors diverged");
+            assert_eq!(stats, want_stats, "{tier:?}: stats diverged");
         }
     }
 

@@ -50,13 +50,11 @@ pub use gridfile::GridFile;
 pub use incremental::{incremental_forest, NnIterator};
 pub use kdtree::KdTree;
 pub use knn::{
-    forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_ordered,
-    forest_knn_traced_tiered, ForestCursor, KnnAlgorithm, LeafScanner, Neighbor, ScanTier,
-    SearchStats, SharedBound,
+    forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_tiered, ForestCursor,
+    KnnAlgorithm, LeafScanner, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 pub use lsh::{LshConfig, LshTables};
-pub use node::energy_permutation;
-pub use params::{ScanOrder, TreeParams, TreeVariant};
+pub use params::{TreeParams, TreeVariant};
 pub use persist::{PersistError, PersistedTree};
 pub use stats::TreeStats;
 pub use tree::{DiskSink, NodeSink, SpatialTree, VisitOutcome};

@@ -28,26 +28,6 @@ impl TreeVariant {
     }
 }
 
-/// Physical coordinate order of leaf scan blocks (see `DESIGN.md`,
-/// "Scan order").
-///
-/// With [`ScanOrder::Energy`], bulk load (and every rebuild) permutes each
-/// leaf's rows — and their f32/q8 mirrors — so the highest-variance
-/// coordinates come first. Partial-distance sums then grow fastest early,
-/// the bounded kernels' 4-lane checkpoints abandon rows sooner, and the
-/// per-dimension q8 grids are computed on the same permuted layout.
-/// Answers stay bit-identical to [`ScanOrder::Natural`]: the permuted f64
-/// sweep is a certified *filter* (see `geometry::kernel::order_prune_bound`)
-/// and every survivor is re-ranked with the canonical natural-order rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanOrder {
-    /// Rows stored in the caller's coordinate order (the default).
-    #[default]
-    Natural,
-    /// Rows stored with coordinates sorted by descending per-leaf variance.
-    Energy,
-}
-
 /// Size and fan-out parameters of a tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
@@ -63,8 +43,6 @@ pub struct TreeParams {
     pub min_fill: f64,
     /// Fraction of entries removed by a forced reinsert (R\*-tree: 30 %).
     pub reinsert_fraction: f64,
-    /// Physical coordinate order of bulk-loaded leaf blocks.
-    pub scan_order: ScanOrder,
 }
 
 impl TreeParams {
@@ -87,14 +65,7 @@ impl TreeParams {
             inner_capacity,
             min_fill: 0.4,
             reinsert_fraction: 0.3,
-            scan_order: ScanOrder::Natural,
         })
-    }
-
-    /// Selects the physical coordinate order of bulk-loaded leaf blocks.
-    pub fn with_scan_order(mut self, order: ScanOrder) -> Self {
-        self.scan_order = order;
-        self
     }
 
     /// Overrides the capacities — used by tests that need tiny nodes.

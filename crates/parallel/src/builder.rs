@@ -23,9 +23,7 @@ use parsim_decluster::near_optimal::colors_required;
 use parsim_decluster::replica::{ChainedReplica, ReplicaRouting};
 use parsim_decluster::{BucketBased, Declusterer, NearOptimal, ReplicaDeclusterer};
 use parsim_geometry::{Point, QuadrantSplitter};
-use parsim_index::{
-    KnnAlgorithm, LshConfig, ScanOrder, ScanTier, TreeVariant, DEFAULT_CACHE_SHARDS,
-};
+use parsim_index::{KnnAlgorithm, LshConfig, ScanTier, TreeVariant, DEFAULT_CACHE_SHARDS};
 use parsim_storage::DiskModel;
 
 use crate::config::{EngineConfig, SplitStrategy};
@@ -237,23 +235,11 @@ impl EngineBuilder {
 
     /// Sets the engine-wide leaf-scan precision tier (default
     /// [`ScanTier::F64`]). Every tier returns bit-identical answers;
-    /// the cheap tiers trade f64 kernel work for certified low-precision
+    /// [`ScanTier::F32`] trades f64 kernel work for certified f32
     /// lower-bound scans. Individual queries can override via
     /// [`crate::QueryOptions::with_tier`]. See `docs/TUNING.md`.
     pub fn scan_tier(mut self, tier: ScanTier) -> Self {
         self.config.tier = tier;
-        self
-    }
-
-    /// Sets the engine-wide leaf-scan coordinate order (default
-    /// [`ScanOrder::Natural`]). With [`ScanOrder::Energy`] every bulk
-    /// load — and every [`crate::ParallelKnnEngine::reorganize`] rebuild —
-    /// stores leaf rows with coordinates permuted by descending per-leaf
-    /// variance, so bounded scans cross the pruning bound earlier.
-    /// Answers stay bit-identical on every tier; see `DESIGN.md` ("Scan
-    /// order") and `docs/TUNING.md`.
-    pub fn scan_order(mut self, order: ScanOrder) -> Self {
-        self.config.order = order;
         self
     }
 
@@ -418,18 +404,6 @@ mod tests {
         assert_eq!(e.config().tier, ScanTier::F32);
         let d = ParallelKnnEngine::builder(4).build(&pts).unwrap();
         assert_eq!(d.config().tier, ScanTier::F64);
-    }
-
-    #[test]
-    fn scan_order_knob_sets_the_config() {
-        let pts = UniformGenerator::new(4).generate(100, 6);
-        let e = ParallelKnnEngine::builder(4)
-            .scan_order(ScanOrder::Energy)
-            .build(&pts)
-            .unwrap();
-        assert_eq!(e.config().order, ScanOrder::Energy);
-        let d = ParallelKnnEngine::builder(4).build(&pts).unwrap();
-        assert_eq!(d.config().order, ScanOrder::Natural);
     }
 
     #[test]

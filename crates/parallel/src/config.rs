@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use parsim_index::{KnnAlgorithm, ScanOrder, ScanTier, TreeVariant};
+use parsim_index::{KnnAlgorithm, ScanTier, TreeVariant};
 use parsim_storage::DiskModel;
 
 /// How the quadrant split values are chosen.
@@ -28,19 +28,10 @@ pub struct EngineConfig {
     /// Split-value strategy for bucket-based declustering.
     pub splits: SplitStrategy,
     /// Precision tier of the leaf scans (default:
-    /// [`ScanTier::F64`] — pure f64, the paper's arithmetic). The cheap
-    /// tiers return bit-identical answers; individual queries can override
-    /// via [`crate::QueryOptions::with_tier`].
+    /// [`ScanTier::F64`] — pure f64, the paper's arithmetic).
+    /// [`ScanTier::F32`] returns bit-identical answers; individual queries
+    /// can override via [`crate::QueryOptions::with_tier`].
     pub tier: ScanTier,
-    /// Coordinate layout of leaf scans (default: [`ScanOrder::Natural`]).
-    /// [`ScanOrder::Energy`] stores leaf rows with coordinates permuted by
-    /// descending per-leaf variance so bounded scans abandon earlier; the
-    /// layout is recomputed on every bulk load and
-    /// [`crate::ParallelKnnEngine::reorganize`] rebuild. Answers stay
-    /// bit-identical (see `DESIGN.md`, "Scan order"); individual queries
-    /// can override the *scan-side* knob via
-    /// [`crate::QueryOptions::with_order`].
-    pub order: ScanOrder,
     /// Disk service-time model.
     pub disk_model: DiskModel,
 }
@@ -55,7 +46,6 @@ impl EngineConfig {
             algorithm: KnnAlgorithm::Rkv,
             splits: SplitStrategy::DataMedian,
             tier: ScanTier::F64,
-            order: ScanOrder::Natural,
             disk_model: DiskModel::hp_workstation_1997(),
         }
     }
@@ -72,7 +62,6 @@ mod tests {
         assert_eq!(c.algorithm, KnnAlgorithm::Rkv);
         assert_eq!(c.splits, SplitStrategy::DataMedian);
         assert_eq!(c.tier, ScanTier::F64);
-        assert_eq!(c.order, ScanOrder::Natural);
         assert!(matches!(c.variant, TreeVariant::XTree { .. }));
     }
 }

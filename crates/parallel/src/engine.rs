@@ -28,12 +28,12 @@ use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
 use parsim_geometry::{Point, QuadrantSplitter};
 use parsim_index::knn::{
-    forest_itinerary, forest_knn_traced_ordered, ForestCursor, Neighbor, ScanTier, SearchStats,
+    forest_itinerary, forest_knn_traced_tiered, ForestCursor, Neighbor, ScanTier, SearchStats,
     SharedBound,
 };
 use parsim_index::{
-    CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, ScanOrder,
-    SpatialTree, TreeParams,
+    CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, SpatialTree,
+    TreeParams,
 };
 use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 
@@ -181,8 +181,6 @@ pub(crate) struct DegradedState {
     /// Leaf-scan precision tier; rides in the state so primary and
     /// failover searches of one query always scan at the same tier.
     pub(crate) tier: ScanTier,
-    /// Scan-order knob; rides along for the same reason as the tier.
-    pub(crate) order: ScanOrder,
     pub(crate) bound: SharedBound,
     pub(crate) extra_time: Vec<Duration>,
     pub(crate) candidates: Vec<Vec<Neighbor>>,
@@ -204,13 +202,11 @@ impl DegradedState {
         timeout: Option<Duration>,
         retry: RetryPolicy,
         tier: ScanTier,
-        order: ScanOrder,
     ) -> Self {
         DegradedState {
             timeout,
             retry,
             tier,
-            order,
             bound: SharedBound::new(),
             extra_time: vec![Duration::ZERO; disks],
             candidates: vec![Vec::new(); disks],
@@ -266,11 +262,10 @@ impl EngineCore {
         query: &Point,
         k: usize,
         tier: ScanTier,
-        order: ScanOrder,
     ) -> (Vec<Neighbor>, Vec<SearchStats>) {
         let guards: Vec<_> = self.trees.iter().map(|t| t.read()).collect();
         let refs: Vec<&SpatialTree> = guards.iter().map(|g| &**g).collect();
-        forest_knn_traced_ordered(&refs, query, k, self.config.algorithm, tier, order)
+        forest_knn_traced_tiered(&refs, query, k, self.config.algorithm, tier)
     }
 
     /// The RKV itinerary of the current trees (see
@@ -301,16 +296,10 @@ impl EngineCore {
         k: usize,
         bound: &SharedBound,
         tier: ScanTier,
-        order: ScanOrder,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.trees[disk].read().knn_traced_ordered(
-            query,
-            k,
-            KnnAlgorithm::Hs,
-            Some(bound),
-            tier,
-            order,
-        )
+        self.trees[disk]
+            .read()
+            .knn_traced_tiered(query, k, KnnAlgorithm::Hs, Some(bound), tier)
     }
 
     /// The degraded primary step of one disk: skip it if hard-failed,
@@ -329,13 +318,12 @@ impl EngineCore {
             state.down.push(disk);
             return;
         }
-        let (cands, s) = self.trees[disk].read().knn_traced_ordered(
+        let (cands, s) = self.trees[disk].read().knn_traced_tiered(
             query,
             k,
             self.config.algorithm,
             Some(&state.bound),
             state.tier,
-            state.order,
         );
         stats[disk].merge(s);
         let mut alive = true;
@@ -406,13 +394,12 @@ impl EngineCore {
         let (cands, s) = {
             let mirrors = self.mirrors[d].read();
             let mirror = mirrors.get(&host).expect("planned failover host exists");
-            mirror.knn_traced_ordered(
+            mirror.knn_traced_tiered(
                 query,
                 k,
                 self.config.algorithm,
                 Some(&state.bound),
                 state.tier,
-                state.order,
             )
         };
         if matches!(faults.fault(host), Some(FaultKind::Flaky { .. })) {
@@ -557,8 +544,7 @@ impl EngineInner {
         let mut trees = Vec::with_capacity(disks);
         for (i, part) in partitions.into_iter().enumerate() {
             let params = TreeParams::for_dim(config.dim, config.variant)
-                .map_err(|e| EngineError::Internal(e.to_string()))?
-                .with_scan_order(config.order);
+                .map_err(|e| EngineError::Internal(e.to_string()))?;
             let mut tree = SpatialTree::bulk_load(params, part)
                 .map_err(|e| EngineError::Internal(e.to_string()))?
                 .with_disk(Arc::clone(array.disk(i)));
@@ -587,8 +573,7 @@ impl EngineInner {
             let mut per_host = BTreeMap::new();
             for (host, part) in parts {
                 let params = TreeParams::for_dim(config.dim, config.variant)
-                    .map_err(|e| EngineError::Internal(e.to_string()))?
-                    .with_scan_order(config.order);
+                    .map_err(|e| EngineError::Internal(e.to_string()))?;
                 let tree = SpatialTree::bulk_load(params, part)
                     .map_err(|e| EngineError::Internal(e.to_string()))?
                     .with_disk(Arc::clone(array.disk(host)));
@@ -638,7 +623,6 @@ impl EngineInner {
     ) -> Result<PendingQuery, EngineError> {
         let (timeout, retry) = self.resolve_policy(opts);
         let tier = opts.tier.unwrap_or(self.core.config.tier);
-        let order = opts.order.unwrap_or(self.core.config.order);
         let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
         let degraded = timeout.is_some() || self.core.array.faults().any_armed();
         let model = *self.core.array.model();
@@ -653,9 +637,9 @@ impl EngineInner {
         let Some(pool) = &self.pool else {
             // Scoped: answer now, return an already-complete handle.
             let answer = if degraded {
-                self.knn_degraded(query, k, timeout, &retry, tier, order)
+                self.knn_degraded(query, k, timeout, &retry, tier)
             } else {
-                Ok(self.knn_healthy(query, k, tier, order))
+                Ok(self.knn_healthy(query, k, tier))
             };
             if let Some(m) = &self.core.metrics {
                 match &answer {
@@ -675,7 +659,7 @@ impl EngineInner {
             (
                 0,
                 Stage::Degraded {
-                    state: DegradedState::new(n, timeout, retry, tier, order),
+                    state: DegradedState::new(n, timeout, retry, tier),
                     phase: Phase::Primaries { next: 0 },
                 },
             )
@@ -699,7 +683,7 @@ impl EngineInner {
                     (
                         first,
                         Stage::Rkv {
-                            cursor: ForestCursor::with_tier_order(k, tier, order),
+                            cursor: ForestCursor::with_tier(k, tier),
                             itinerary,
                             pos: 0,
                         },
@@ -735,7 +719,6 @@ impl EngineInner {
                 query: query.clone(),
                 k,
                 tier,
-                order,
                 stats: vec![SearchStats::default(); n],
                 start,
                 stage,
@@ -761,13 +744,7 @@ impl EngineInner {
 
     /// The scoped healthy fast path: one scoped thread per disk, shared
     /// pruning bound, exact per-query trace — the paper's Var. 3 search.
-    fn knn_healthy(
-        &self,
-        query: &Point,
-        k: usize,
-        tier: ScanTier,
-        order: ScanOrder,
-    ) -> (Vec<Neighbor>, QueryTrace) {
+    fn knn_healthy(&self, query: &Point, k: usize, tier: ScanTier) -> (Vec<Neighbor>, QueryTrace) {
         let algorithm = self.core.config.algorithm;
         let start = Instant::now();
         let shared = SharedBound::new();
@@ -781,14 +758,8 @@ impl EngineInner {
                 .iter()
                 .map(|tree| {
                     s.spawn(move || {
-                        tree.read().knn_traced_ordered(
-                            query,
-                            k,
-                            algorithm,
-                            Some(shared),
-                            tier,
-                            order,
-                        )
+                        tree.read()
+                            .knn_traced_tiered(query, k, algorithm, Some(shared), tier)
                     })
                 })
                 .collect();
@@ -809,7 +780,6 @@ impl EngineInner {
     /// [`EngineCore::degraded_failover`]), driven sequentially so the
     /// retry draws — and therefore the whole trace — are deterministic
     /// for a given injector seed.
-    #[allow(clippy::too_many_arguments)]
     fn knn_degraded(
         &self,
         query: &Point,
@@ -817,13 +787,12 @@ impl EngineInner {
         timeout: Option<Duration>,
         retry: &RetryPolicy,
         tier: ScanTier,
-        order: ScanOrder,
     ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
         let core = &self.core;
         let n = core.trees.len();
         let start = Instant::now();
         let mut stats = vec![SearchStats::default(); n];
-        let mut state = DegradedState::new(n, timeout, *retry, tier, order);
+        let mut state = DegradedState::new(n, timeout, *retry, tier);
         for disk in 0..n {
             core.degraded_primary(disk, query, k, &mut state, &mut stats);
         }
@@ -896,7 +865,6 @@ impl EngineInner {
                 query: query.clone(),
                 k,
                 tier: opts.tier.unwrap_or(self.core.config.tier),
-                order: opts.order.unwrap_or(self.core.config.order),
                 stats: vec![SearchStats::default(); n],
                 start: Instant::now(),
                 stage: Stage::Approx {
@@ -1633,22 +1601,6 @@ impl ParallelKnnEngine {
         EngineShared::rebuild(&self.shared)
     }
 
-    /// Consuming shim for the pre-ingest API: reorganizes in place and
-    /// hands the engine back.
-    #[deprecated(note = "reorganize() is now non-consuming: call `engine.reorganize()` directly")]
-    pub fn into_reorganized(self) -> Result<Self, EngineError> {
-        self.reorganize()?;
-        Ok(self)
-    }
-
-    /// Shim for the pre-ingest delete API, which addressed points by
-    /// value and id; the point is no longer needed.
-    #[deprecated(note = "use remove(item): the write path addresses points by item id alone")]
-    pub fn delete(&self, point: &Point, item: u64) -> Result<(), EngineError> {
-        let _ = point;
-        self.remove(item)
-    }
-
     /// Answers one k-NN query under `opts` — the single entry point
     /// behind every legacy `knn*` method. Equivalent to
     /// [`ParallelKnnEngine::submit`] followed by [`PendingQuery::wait`].
@@ -1802,7 +1754,6 @@ impl ParallelKnnEngine {
         }
         let (timeout, retry) = inner.resolve_policy(opts);
         let tier = opts.tier.unwrap_or(inner.core.config.tier);
-        let order = opts.order.unwrap_or(inner.core.config.order);
         let degraded = timeout.is_some() || inner.core.array.faults().any_armed();
         let model = *inner.core.array.model();
         let next = AtomicUsize::new(0);
@@ -1846,10 +1797,10 @@ impl ParallelKnnEngine {
                                     )
                                 }
                             } else if degraded {
-                                inner_ref.knn_degraded(&queries[i], k, timeout, retry, tier, order)
+                                inner_ref.knn_degraded(&queries[i], k, timeout, retry, tier)
                             } else {
                                 let start = Instant::now();
-                                let (res, stats) = core.forest_search(&queries[i], k, tier, order);
+                                let (res, stats) = core.forest_search(&queries[i], k, tier);
                                 let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
                                 Ok((res, trace))
                             };
@@ -2248,12 +2199,49 @@ mod tests {
 
     #[test]
     fn reorganize_preserves_contents() {
-        let (e, pts) = engine(4, 800, 6);
-        let before = e.len();
-        e.reorganize().unwrap();
-        assert_eq!(e.len(), before);
-        let (res, _) = e.knn(&pts[5], 1).unwrap();
-        assert_eq!(res[0].dist, 0.0);
+        // Every scan tier answers bit-identically to brute force before
+        // and after a live reorganize that folds buffered inserts into a
+        // freshly bulk-loaded interior (and so rebuilds every f32 mirror).
+        let pts = UniformGenerator::new(6).generate(800, 7);
+        let extra = UniformGenerator::new(6).generate(40, 8);
+        let queries = UniformGenerator::new(6).generate(4, 9);
+        for tier in [ScanTier::F64, ScanTier::F32] {
+            let e = ParallelKnnEngine::builder(6)
+                .disks(4)
+                .scan_tier(tier)
+                .ingest(IngestConfig::new(64))
+                .build(&pts)
+                .unwrap();
+            let mut data: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
+            for p in &extra {
+                let item = e.insert(p.clone()).unwrap();
+                data.push((p.clone(), item));
+            }
+            let before = e.len();
+            let check = |e: &ParallelKnnEngine| {
+                for q in &queries {
+                    let opts = QueryOptions::new(10).with_workers(1);
+                    let got = e
+                        .query_batch(std::slice::from_ref(q), &opts)
+                        .unwrap()
+                        .pop()
+                        .unwrap();
+                    let want = brute_force_knn(&data, q, 10);
+                    assert_eq!(got.neighbors.len(), want.len(), "{tier:?}");
+                    for (g, w) in got.neighbors.iter().zip(&want) {
+                        assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
+                        assert_eq!(g.item, w.item, "{tier:?}");
+                    }
+                }
+            };
+            check(&e);
+            e.reorganize().unwrap();
+            assert_eq!(e.delta_size(), 0);
+            assert_eq!(e.len(), before);
+            check(&e);
+            let (res, _) = e.knn(&pts[5], 1).unwrap();
+            assert_eq!(res[0].dist, 0.0);
+        }
     }
 
     #[test]
@@ -2405,70 +2393,84 @@ mod tests {
     }
 
     #[test]
-    fn energy_scan_order_is_bit_identical_through_the_engine() {
-        use parsim_index::ScanOrder;
-        let pts = UniformGenerator::new(8).generate(2000, 17);
-        let nat = ParallelKnnEngine::builder(8).disks(8).build(&pts).unwrap();
-        let cfg = EngineConfig {
-            order: ScanOrder::Energy,
-            ..EngineConfig::paper_defaults(8)
-        };
-        let en = ParallelKnnEngine::builder(8)
-            .config(cfg)
-            .disks(8)
+    fn a_panicking_pool_step_fails_the_query_and_the_engine_still_drops() {
+        use crate::lsh::{DiskProbes, LshCounters};
+        use std::sync::mpsc;
+
+        let pts = UniformGenerator::new(4).generate(400, 3);
+        let e = ParallelKnnEngine::builder(4)
+            .disks(4)
+            .execution(ExecutionMode::Pooled)
+            .metrics(true)
             .build(&pts)
             .unwrap();
-        assert_eq!(en.config().order, ScanOrder::Energy);
-        for q in UniformGenerator::new(8).generate(8, 18) {
-            for tier in [ScanTier::F64, ScanTier::F32, ScanTier::Q8] {
-                // Scoped batch at one worker: the only scoped path with
-                // deterministic work counters (the single-query path races
-                // per-disk threads on the shared bound).
-                let opts = QueryOptions::traced(10).with_tier(tier).with_workers(1);
-                let a = nat
-                    .query_batch(std::slice::from_ref(&q), &opts)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
-                let b = en
-                    .query_batch(std::slice::from_ref(&q), &opts)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
-                assert_eq!(a.neighbors.len(), b.neighbors.len());
-                for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{tier:?}");
-                    assert_eq!(x.item, y.item, "{tier:?}");
-                }
-                // Page traces match too: the permutation never changes
-                // which nodes are visited.
-                let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-                assert_eq!(ta.per_disk_pages, tb.per_disk_pages, "{tier:?}");
-            }
-        }
-        // The energy engine abandons rows on the f64 tier and surfaces
-        // checkpoint depth in the trace.
-        let q = Point::new(vec![0.5; 8]).unwrap();
-        let r = en
-            .query_batch(
-                std::slice::from_ref(&q),
-                &QueryOptions::traced(10)
-                    .with_order(ScanOrder::Energy)
-                    .with_workers(1),
+        // An approx task on an engine built without the LSH tier reaches
+        // the step's "Approx stage needs the LSH tier" expect and panics
+        // inside the disk-0 worker.
+        let pending = {
+            let inner = e.shared.inner.read();
+            let pool = inner.pool.as_ref().expect("pooled engine has a pool");
+            let completion = Arc::new(Completion::new());
+            let pending =
+                PendingQuery::new(Arc::clone(&completion), false, *inner.core.array.model());
+            let n = inner.core.trees.len();
+            inner.core.metrics.as_ref().unwrap().record_start();
+            pool.submit(
+                0,
+                QueryTask {
+                    query: pts[0].clone(),
+                    k: 3,
+                    tier: ScanTier::F64,
+                    stats: vec![SearchStats::default(); n],
+                    start: Instant::now(),
+                    stage: Stage::Approx {
+                        plan: vec![DiskProbes {
+                            disk: 0,
+                            buckets: Vec::new(),
+                        }],
+                        pos: 0,
+                        candidates: vec![Vec::new(); n],
+                        counters: LshCounters::default(),
+                    },
+                    completion,
+                    wave: pool.next_wave(),
+                    deadline_micros: None,
+                    spent_micros: 0,
+                    seq: 0,
+                },
             )
-            .unwrap()
-            .pop()
             .unwrap();
-        let t = r.trace.unwrap();
-        assert!(t.abandoned_rows > 0, "energy f64 filter never abandoned");
-        assert!(t.abandon_checkpoints >= t.abandoned_rows);
-        // Reorganize recomputes the energy layout; answers stay identical.
-        en.reorganize().unwrap();
-        for q in UniformGenerator::new(8).generate(4, 19) {
-            let a = nat.query(&q, &QueryOptions::new(10)).unwrap();
-            let b = en.query(&q, &QueryOptions::new(10)).unwrap();
-            assert_eq!(a.neighbors, b.neighbors);
+            pending
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(pending.wait()).unwrap());
+        let Ok(answer) = rx.recv_timeout(Duration::from_secs(20)) else {
+            // Leak the engine: dropping it would wait forever on the
+            // stuck query and hang the test instead of failing it.
+            std::mem::forget(e);
+            panic!("the caller of a panicked query must not hang");
+        };
+        match answer {
+            Err(EngineError::Internal(msg)) => {
+                assert!(msg.contains("Approx stage needs the LSH tier"), "{msg}")
+            }
+            other => panic!("expected EngineError::Internal, got {other:?}"),
         }
+        // The worker survived: a healthy query on the same pool (first
+        // stop wherever the itinerary says) still answers exactly.
+        let (res, _) = e.knn(&pts[7], 1).unwrap();
+        assert_eq!(res[0].dist, 0.0);
+        let s = e.metrics().unwrap().snapshot();
+        assert_eq!(s.counter_total("parsim_queries_failed_total"), 1);
+        // Drain-then-stop shutdown completes: the in-flight count left
+        // the panicked query behind.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(e);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("engine drop must not hang after a worker panic");
     }
 
     #[test]

@@ -61,15 +61,15 @@ pub struct QueryTrace {
     /// page requested by `m` queries, exactly `m − 1` visits coalesce.
     /// Logical `per_disk_pages` are unaffected either way.
     pub per_disk_coalesced: Vec<u64>,
-    /// f64 point-distance evaluations started in leaf scans. On the cheap
-    /// scan tiers only phase-1 survivors start one, so this counter is the
-    /// query's f64 kernel cost on every tier.
+    /// f64 point-distance evaluations started in leaf scans. On
+    /// [`parsim_index::ScanTier::F32`] only phase-1 survivors start one, so
+    /// this counter is the query's f64 kernel cost on every tier.
     pub dist_evals: u64,
     /// Candidate points whose full f64 distance was never computed: cut
     /// short by the early-abandon kernel (f64 tier) or filtered by a
-    /// certified low-precision lower bound (cheap tiers).
+    /// certified f32 lower bound (f32 tier).
     pub dist_evals_saved: u64,
-    /// Phase-1 lower-bound kernel evaluations (f32 or q8 rows scanned).
+    /// Phase-1 lower-bound kernel evaluations (f32 rows scanned).
     /// Zero on [`parsim_index::ScanTier::F64`].
     pub lb_evals: u64,
     /// Phase-1 survivors re-ranked by the exact f64 batch kernel (each
@@ -82,9 +82,7 @@ pub struct QueryTrace {
     pub abandoned_rows: u64,
     /// 4-coordinate checkpoints those abandoned rows executed before the
     /// partial sum crossed the bound. The mean abandon depth in
-    /// coordinates is `4 × abandon_checkpoints / abandoned_rows` — the
-    /// figure the energy scan order ([`parsim_index::ScanOrder`]) is
-    /// designed to shrink.
+    /// coordinates is `4 × abandon_checkpoints / abandoned_rows`.
     pub abandon_checkpoints: u64,
     /// LSH buckets probed over all tables and disks. Zero on every
     /// [`crate::QueryMode::Exact`] query.

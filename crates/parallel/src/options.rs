@@ -10,7 +10,6 @@
 use std::time::Duration;
 
 use parsim_index::knn::{Neighbor, ScanTier};
-use parsim_index::ScanOrder;
 use parsim_storage::QueryCost;
 
 use crate::metrics::QueryTrace;
@@ -157,17 +156,10 @@ pub struct QueryOptions {
     pub deadline: Option<Duration>,
     /// Precision tier of the leaf scans for this query; overrides the
     /// engine's [`crate::EngineConfig::tier`] when set. Every tier
-    /// returns bit-identical answers — the cheap tiers only trade f64
-    /// kernel work for certified low-precision lower-bound work (see
+    /// returns bit-identical answers — [`ScanTier::F32`] only trades f64
+    /// kernel work for certified f32 lower-bound work (see
     /// `docs/TUNING.md`).
     pub tier: Option<ScanTier>,
-    /// Scan-order knob for this query; overrides the engine's
-    /// [`crate::EngineConfig::order`] when set. This only controls whether
-    /// the f64 tier runs the certified permuted filter on energy-laid-out
-    /// leaves — the physical layout is fixed at build/rebuild time by the
-    /// engine config, and leaves stored naturally scan naturally under
-    /// either setting. Answers are bit-identical either way.
-    pub order: Option<ScanOrder>,
     /// Exact tree search or the approximate LSH tier (see [`QueryMode`]).
     pub mode: QueryMode,
 }
@@ -183,7 +175,6 @@ impl QueryOptions {
             workers: None,
             deadline: None,
             tier: None,
-            order: None,
             mode: QueryMode::Exact,
         }
     }
@@ -238,12 +229,6 @@ impl QueryOptions {
         self
     }
 
-    /// Sets the leaf-scan order knob for this query.
-    pub fn with_order(mut self, order: ScanOrder) -> Self {
-        self.order = Some(order);
-        self
-    }
-
     /// Sets the query mode (exact tree search or approximate LSH).
     pub fn with_mode(mut self, mode: QueryMode) -> Self {
         self.mode = mode;
@@ -283,8 +268,7 @@ mod tests {
             .with_retry(RetryPolicy::none())
             .with_workers(4)
             .with_deadline(Duration::from_millis(9))
-            .with_tier(ScanTier::Q8)
-            .with_order(ScanOrder::Energy)
+            .with_tier(ScanTier::F32)
             .with_trace(true);
         assert_eq!(o.k, 5);
         assert!(o.trace);
@@ -297,10 +281,8 @@ mod tests {
                 .mode,
             QueryMode::Approx { probes: 1 }
         );
-        assert_eq!(o.tier, Some(ScanTier::Q8));
-        assert_eq!(o.order, Some(ScanOrder::Energy));
+        assert_eq!(o.tier, Some(ScanTier::F32));
         assert_eq!(QueryOptions::new(3).tier, None);
-        assert_eq!(QueryOptions::new(3).order, None);
         assert_eq!(o.timeout, Some(Duration::from_millis(80)));
         assert_eq!(o.retry, Some(RetryPolicy::none()));
         assert_eq!(o.workers, Some(4));

@@ -22,6 +22,7 @@
 //! so the drain always terminates: engine drop cannot deadlock even with
 //! queued queries.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -29,7 +30,6 @@ use std::time::Instant;
 
 use parsim_geometry::Point;
 use parsim_index::knn::{ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound};
-use parsim_index::ScanOrder;
 use parsim_storage::DiskModel;
 
 use crate::engine::{merge_candidates, DegradedState, EngineCore, TracedAnswer};
@@ -51,8 +51,6 @@ pub(crate) struct QueryTask {
     /// Leaf-scan precision tier (the RKV cursor and degraded state carry
     /// their own copy; this one feeds the HS per-disk searches).
     pub(crate) tier: ScanTier,
-    /// Scan-order knob, carried alongside the tier for the same reason.
-    pub(crate) order: ScanOrder,
     /// Per-disk work counters, accumulated as the task hops.
     pub(crate) stats: Vec<SearchStats>,
     /// Submission instant (the trace's wall time spans queueing too).
@@ -381,6 +379,12 @@ impl Drop for WorkerPool {
 /// passed, open its coalescing wave, run every consecutive step that
 /// belongs to this disk, then either forward the task to the next disk's
 /// worker or complete it.
+///
+/// A panic inside a step is contained: the query completes with
+/// [`EngineError::Internal`], leaves the in-flight count, and the worker
+/// keeps serving its queue, so neither the caller's
+/// [`PendingQuery::wait`] nor the engine's drain-then-stop shutdown can
+/// hang on it.
 fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflight: &Inflight) {
     while let Some(task) = queues[disk].pop() {
         if let Some(m) = &core.metrics {
@@ -404,8 +408,9 @@ fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflig
         }
         core.begin_wave(disk, task.wave);
         let pages_before = task.stats[disk].pages;
-        match step(core, disk, task) {
-            Outcome::Forward(next, mut task) => {
+        let completion = Arc::clone(&task.completion);
+        match panic::catch_unwind(AssertUnwindSafe(|| step(core, disk, task))) {
+            Ok(Outcome::Forward(next, mut task)) => {
                 let read = task.stats[disk].pages - pages_before;
                 task.spent_micros += core.array.model().service_time(read).as_micros() as u64;
                 if let Some(m) = &core.metrics {
@@ -415,7 +420,22 @@ fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflig
                 let seq = task.seq;
                 queues[next].push_hop(budget, seq, task);
             }
-            Outcome::Done => inflight.dec(),
+            Ok(Outcome::Done) => inflight.dec(),
+            Err(payload) => {
+                let cause = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                // Record before delivery, like every other answer point.
+                if let Some(m) = &core.metrics {
+                    m.record_failure();
+                }
+                completion.complete(Err(EngineError::Internal(format!(
+                    "disk {disk} worker panicked: {cause}"
+                ))));
+                inflight.dec();
+            }
         }
     }
 }
@@ -467,8 +487,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                     forward = Some(*next);
                     break;
                 }
-                let (cands, s) =
-                    core.hs_visit(disk, &task.query, task.k, bound, task.tier, task.order);
+                let (cands, s) = core.hs_visit(disk, &task.query, task.k, bound, task.tier);
                 task.stats[disk].merge(s);
                 candidates[disk] = cands;
                 *next += 1;

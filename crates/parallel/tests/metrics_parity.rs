@@ -232,7 +232,7 @@ fn tiered_workload_keeps_parity() {
             .disks(DISKS)
             .page_cache(128)
             .cache_shards(SHARDS)
-            .scan_tier(ScanTier::Q8)
+            .scan_tier(ScanTier::F32)
             .execution(execution)
             .metrics(true)
             .build(&points)

@@ -375,7 +375,7 @@ fn pooled_batch_pipelines_without_reordering_results() {
 
 #[test]
 fn tiered_engines_are_bit_identical_to_brute_force() {
-    // The two-phase leaf scan's whole contract: every tier — engine-wide
+    // The two-phase leaf scan's whole contract: the f32 tier — engine-wide
     // or per-query — returns the f64 tier's answer bit for bit, while the
     // trace proves the cheap phase actually ran.
     let pts = ClusteredGenerator::new(DIM, 8, 0.03).generate(3000, 31);
@@ -391,42 +391,41 @@ fn tiered_engines_are_bit_identical_to_brute_force() {
         .disks(DISKS)
         .build(&pts)
         .unwrap();
-    for tier in [ScanTier::F32, ScanTier::Q8] {
-        let tiered = ParallelKnnEngine::builder(DIM)
-            .config(config)
-            .disks(DISKS)
-            .scan_tier(tier)
-            .build(&pts)
+    let tier = ScanTier::F32;
+    let tiered = ParallelKnnEngine::builder(DIM)
+        .config(config)
+        .disks(DISKS)
+        .scan_tier(tier)
+        .build(&pts)
+        .unwrap();
+    let mut lb = 0u64;
+    let mut rerank = 0u64;
+    for q in &queries {
+        let (want, _) = base.knn_traced(q, 10).unwrap();
+        let got = tiered.query(q, &QueryOptions::traced(10)).unwrap();
+        // Per-query override on the f64-default engine takes the same
+        // tiered path.
+        let over = base
+            .query(q, &QueryOptions::traced(10).with_tier(tier))
             .unwrap();
-        let mut lb = 0u64;
-        let mut rerank = 0u64;
-        for q in &queries {
-            let (want, _) = base.knn_traced(q, 10).unwrap();
-            let got = tiered.query(q, &QueryOptions::traced(10)).unwrap();
-            // Per-query override on the f64-default engine takes the same
-            // tiered path.
-            let over = base
-                .query(q, &QueryOptions::traced(10).with_tier(tier))
-                .unwrap();
-            let brute = brute_force_knn(&data, q, 10);
-            for (((g, w), o), b) in got
-                .neighbors
-                .iter()
-                .zip(&want)
-                .zip(&over.neighbors)
-                .zip(&brute)
-            {
-                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?} vs f64");
-                assert_eq!(g.dist.to_bits(), o.dist.to_bits(), "{tier:?} vs override");
-                assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} vs brute");
-            }
-            let trace = got.trace.unwrap();
-            lb += trace.lb_evals;
-            rerank += trace.rerank_evals;
+        let brute = brute_force_knn(&data, q, 10);
+        for (((g, w), o), b) in got
+            .neighbors
+            .iter()
+            .zip(&want)
+            .zip(&over.neighbors)
+            .zip(&brute)
+        {
+            assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?} vs f64");
+            assert_eq!(g.dist.to_bits(), o.dist.to_bits(), "{tier:?} vs override");
+            assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} vs brute");
         }
-        assert!(lb > 0, "{tier:?}: phase 1 never scanned a row");
-        assert!(rerank <= lb, "{tier:?}: more re-ranks than phase-1 rows");
+        let trace = got.trace.unwrap();
+        lb += trace.lb_evals;
+        rerank += trace.rerank_evals;
     }
+    assert!(lb > 0, "{tier:?}: phase 1 never scanned a row");
+    assert!(rerank <= lb, "{tier:?}: more re-ranks than phase-1 rows");
 }
 
 #[test]
@@ -440,23 +439,22 @@ fn tiered_degraded_queries_stay_exact() {
         .map(|(i, p)| (p.clone(), i as u64))
         .collect();
     let queries = ClusteredGenerator::new(DIM, 8, 0.03).generate(8, 83);
-    for tier in [ScanTier::F32, ScanTier::Q8] {
-        let e = ParallelKnnEngine::builder(DIM)
-            .disks(DISKS)
-            .replicas(1)
-            .scan_tier(tier)
-            .build(&pts)
-            .unwrap();
-        e.faults().fail(0);
-        for q in &queries {
-            let got = e.query(q, &QueryOptions::traced(10)).unwrap();
-            let brute = brute_force_knn(&data, q, 10);
-            for (g, b) in got.neighbors.iter().zip(&brute) {
-                assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} degraded");
-            }
-            let trace = got.trace.unwrap();
-            assert!(trace.degraded.is_some(), "fault never engaged");
+    let tier = ScanTier::F32;
+    let e = ParallelKnnEngine::builder(DIM)
+        .disks(DISKS)
+        .replicas(1)
+        .scan_tier(tier)
+        .build(&pts)
+        .unwrap();
+    e.faults().fail(0);
+    for q in &queries {
+        let got = e.query(q, &QueryOptions::traced(10)).unwrap();
+        let brute = brute_force_knn(&data, q, 10);
+        for (g, b) in got.neighbors.iter().zip(&brute) {
+            assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} degraded");
         }
+        let trace = got.trace.unwrap();
+        assert!(trace.degraded.is_some(), "fault never engaged");
     }
 }
 
