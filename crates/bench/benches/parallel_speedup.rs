@@ -1,7 +1,7 @@
 //! End-to-end bench: parallel 10-NN query latency by declustering method
 //! (wall-clock companion to figures 12–14, whose primary metric is page
 //! counts), plus the threaded execution paths of the engine — one thread
-//! per disk (`knn`), the bounded-worker batch pool (`knn_batch_with`),
+//! per disk (`knn`), the bounded-worker batch pool (`query_batch`),
 //! and the single-disk sequential baseline, so the measured speed-up can
 //! be read off next to the modeled one (experiment `ext6`).
 
@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 use parsim_bench::experiments::common::{build_engine, Method};
 use parsim_datagen::{DataGenerator, UniformGenerator};
-use parsim_parallel::{EngineConfig, ParallelKnnEngine, SequentialEngine};
+use parsim_parallel::{EngineConfig, ParallelKnnEngine, QueryOptions, SequentialEngine};
 
 fn bench_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_speedup");
@@ -75,7 +75,10 @@ fn bench_execution_paths(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("batch_knn10_8disks", workers),
             &workers,
-            |b, &w| b.iter(|| par.knn_batch_with(black_box(&queries), 10, w).unwrap()),
+            |b, &w| {
+                let opts = QueryOptions::traced(10).with_workers(w);
+                b.iter(|| par.query_batch(black_box(&queries), &opts).unwrap())
+            },
         );
     }
     group.finish();

@@ -15,7 +15,7 @@
 use parsim_datagen::{ClusteredGenerator, DataGenerator};
 use parsim_geometry::Point;
 use parsim_index::knn::brute_force_knn;
-use parsim_parallel::{EngineConfig, ParallelKnnEngine};
+use parsim_parallel::{EngineConfig, ParallelKnnEngine, QueryOptions};
 
 use crate::report::{fmt, ExperimentReport};
 
@@ -51,11 +51,14 @@ pub fn run(scale: f64) -> ExperimentReport {
         let mut saved = 0u64;
         let mut identical = true;
         for q in &queries {
-            let (got, trace) = par.knn_traced(q, k).expect("traced query");
+            let got = par
+                .query(q, &QueryOptions::traced(k))
+                .expect("traced query");
+            let trace = got.trace.expect("trace requested");
             evals += trace.dist_evals;
             saved += trace.dist_evals_saved;
             let want = brute_force_knn(&items, q, k);
-            for (g, w) in got.iter().zip(&want) {
+            for (g, w) in got.neighbors.iter().zip(&want) {
                 identical &= g.dist.to_bits() == w.dist.to_bits();
             }
         }

@@ -72,10 +72,10 @@ pub fn measure(scale: f64) -> Vec<BackboneRow> {
             .expect("pooled engine builds");
         let model = *scoped.array().model();
         let traces: Vec<_> = scoped
-            .knn_batch(&queries, k)
+            .query_batch(&queries, &QueryOptions::traced(k))
             .expect("traced batch succeeds")
             .into_iter()
-            .map(|(_, t)| t)
+            .map(|r| r.trace.expect("trace requested"))
             .collect();
 
         // Barrier schedule: each query holds all disks until its busiest

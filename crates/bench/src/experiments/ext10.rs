@@ -11,7 +11,7 @@
 //! visible in a report.
 
 use parsim_datagen::{ClusteredGenerator, DataGenerator};
-use parsim_parallel::{ExecutionMode, ParallelKnnEngine, QueryTrace};
+use parsim_parallel::{ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace};
 
 use crate::report::ExperimentReport;
 
@@ -94,10 +94,10 @@ pub fn measure(scale: f64) -> Vec<ParityRow> {
                 engine.faults().fail(failed);
             }
             let traces: Vec<QueryTrace> = engine
-                .knn_batch(&queries, k)
+                .query_batch(&queries, &QueryOptions::traced(k))
                 .expect("workload succeeds")
                 .into_iter()
-                .map(|(_, t)| t)
+                .map(|r| r.trace.expect("trace requested"))
                 .collect();
             let snapshot = engine.metrics().expect("metrics enabled").snapshot();
             for (traced, metric) in trace_sums(&traces) {

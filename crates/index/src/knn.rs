@@ -513,34 +513,18 @@ impl LeafScanner {
 }
 
 /// k-NN search over a **forest** of trees with a single shared pruning
-/// bound — the parallel X-tree's logical search. Each tree charges its own
-/// disk, so the per-disk page counts are exactly the pages a
+/// bound — the parallel X-tree's logical search and the reference the
+/// engine's pipelined executions are checked against. Each tree charges
+/// its own disk, so the per-disk page counts are exactly the pages a
 /// globally-pruned parallel algorithm must read (never more, as would
 /// happen if every disk ran an independent local search to completion).
+///
+/// Returns the neighbors plus one [`SearchStats`] per tree, counted
+/// locally in the calling thread — the exact per-disk cost of this query
+/// even when other queries run concurrently. `tier` picks the leaf-scan
+/// precision: answers are identical across tiers; only the work counters
+/// move.
 pub fn forest_knn(
-    trees: &[&SpatialTree],
-    query: &Point,
-    k: usize,
-    algorithm: KnnAlgorithm,
-) -> Vec<Neighbor> {
-    forest_knn_traced(trees, query, k, algorithm).0
-}
-
-/// Like [`forest_knn`], but additionally returns one [`SearchStats`] per
-/// tree, counted locally in the calling thread — the exact per-disk page
-/// cost of this query even when other queries run concurrently.
-pub fn forest_knn_traced(
-    trees: &[&SpatialTree],
-    query: &Point,
-    k: usize,
-    algorithm: KnnAlgorithm,
-) -> (Vec<Neighbor>, Vec<SearchStats>) {
-    forest_knn_traced_tiered(trees, query, k, algorithm, ScanTier::F64)
-}
-
-/// Like [`forest_knn_traced`], with an explicit [`ScanTier`] for the leaf
-/// scans. Answers are identical across tiers; only the work counters move.
-pub fn forest_knn_traced_tiered(
     trees: &[&SpatialTree],
     query: &Point,
     k: usize,
@@ -587,7 +571,7 @@ fn forest_knn_rkv(
 
 /// The RKV forest visiting order: `(root MINDIST², tree index)` of every
 /// non-empty tree, sorted ascending (ties keep index order). This is the
-/// exact order [`forest_knn_traced`] visits trees with
+/// exact order [`forest_knn`] visits trees with
 /// [`KnnAlgorithm::Rkv`], exposed so distributed executors (the parallel
 /// engine's worker pool pipelines one [`ForestCursor`] across the per-disk
 /// workers in this order) reproduce its traces bit-for-bit.
@@ -609,7 +593,7 @@ pub fn forest_itinerary(trees: &[&SpatialTree], query: &Point) -> Vec<(f64, usiz
 }
 
 /// A resumable RKV forest search: the single bounded candidate heap of
-/// [`forest_knn_traced`] with [`KnnAlgorithm::Rkv`], detached from the
+/// [`forest_knn`] with [`KnnAlgorithm::Rkv`], detached from the
 /// loop that drives it.
 ///
 /// Visiting the trees of a [`forest_itinerary`] in order — checking
@@ -627,13 +611,8 @@ pub struct ForestCursor {
 }
 
 impl ForestCursor {
-    /// A fresh cursor searching for the `k` nearest neighbors at the
-    /// default [`ScanTier::F64`].
-    pub fn new(k: usize) -> Self {
-        ForestCursor::with_tier(k, ScanTier::F64)
-    }
-
-    /// A fresh cursor whose leaf scans run at `tier`. The neighbors found
+    /// A fresh cursor searching for the `k` nearest neighbors, its leaf
+    /// scans running at `tier`. The neighbors found
     /// are identical for every tier; the per-tree [`SearchStats`] report
     /// the tier's cost split across `lb_evals` / `rerank_evals` /
     /// `dist_evals`.
@@ -1126,9 +1105,9 @@ mod tests {
             .enumerate()
         {
             let k = 1 + qi % 10;
-            let (want, want_stats) = forest_knn_traced(&refs, q, k, KnnAlgorithm::Rkv);
+            let (want, want_stats) = forest_knn(&refs, q, k, KnnAlgorithm::Rkv, ScanTier::F64);
             let mut stats = vec![SearchStats::default(); refs.len()];
-            let mut cursor = ForestCursor::new(k);
+            let mut cursor = ForestCursor::with_tier(k, ScanTier::F64);
             let itinerary = forest_itinerary(&refs, q);
             for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
                 if cursor.prunable(min_dist) {
@@ -1270,7 +1249,7 @@ mod tests {
         let tier = ScanTier::F32;
         for q in &UniformGenerator::new(dim).generate(6, 72) {
             let k = 5;
-            let (want, want_stats) = forest_knn_traced_tiered(&refs, q, k, KnnAlgorithm::Rkv, tier);
+            let (want, want_stats) = forest_knn(&refs, q, k, KnnAlgorithm::Rkv, tier);
             let mut stats = vec![SearchStats::default(); refs.len()];
             let mut cursor = ForestCursor::with_tier(k, tier);
             assert_eq!(cursor.tier(), tier);

@@ -50,8 +50,8 @@ pub use gridfile::GridFile;
 pub use incremental::{incremental_forest, NnIterator};
 pub use kdtree::KdTree;
 pub use knn::{
-    forest_itinerary, forest_knn, forest_knn_traced, forest_knn_traced_tiered, ForestCursor,
-    KnnAlgorithm, LeafScanner, Neighbor, ScanTier, SearchStats, SharedBound,
+    forest_itinerary, forest_knn, ForestCursor, KnnAlgorithm, LeafScanner, Neighbor, ScanTier,
+    SearchStats, SharedBound,
 };
 pub use lsh::{LshConfig, LshTables};
 pub use params::{TreeParams, TreeVariant};

@@ -1,9 +1,10 @@
 //! The parallel k-NN engine.
 //!
 //! The engine's shared, thread-safe state (disk array, per-disk trees,
-//! mirror trees) lives in an `EngineCore` behind an `Arc`, so both the
-//! scoped reference paths and the persistent worker pool of
-//! [`crate::pool`] execute the same per-disk steps against the same data.
+//! mirror trees) lives in an `EngineCore` behind an `Arc`, so both
+//! drivers of the query state machine in [`crate::pool`] — inline on the
+//! caller's thread and the persistent worker pool — execute the same
+//! per-disk steps against the same data.
 //!
 //! Since the streaming-ingest redesign the engine itself is a thin handle
 //! over an `EngineShared`: the swappable `EngineInner` (core + pool +
@@ -17,6 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -28,8 +30,7 @@ use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
 use parsim_geometry::{Point, QuadrantSplitter};
 use parsim_index::knn::{
-    forest_itinerary, forest_knn_traced_tiered, ForestCursor, Neighbor, ScanTier, SearchStats,
-    SharedBound,
+    forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
 };
 use parsim_index::{
     CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, SpatialTree,
@@ -46,11 +47,14 @@ use crate::obs::EngineMetrics;
 use crate::options::{
     ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy,
 };
-use crate::pool::{Completion, PendingQuery, Phase, QueryTask, Stage, WorkerPool};
+use crate::pool::{
+    deliver, panic_message, run_inline, Completion, PendingQuery, Phase, QueryTask, Stage,
+    WorkerPool,
+};
 use crate::serve::AdmissionConfig;
 use crate::EngineError;
 
-/// One query's answer on the batch path: neighbors plus the exact trace.
+/// One query's answer: neighbors plus the exact trace.
 pub(crate) type TracedAnswer = Result<(Vec<Neighbor>, QueryTrace), EngineError>;
 
 /// The paper's parallel similarity-search system: a declusterer assigns
@@ -171,17 +175,17 @@ pub(crate) struct EngineCore {
     pub(crate) coalescers: Vec<Arc<CoalescingSink>>,
 }
 
-/// The mutable state of one degraded-mode query, shared verbatim by the
-/// scoped sequential loop and the pooled pipeline so both execute the
-/// paper's failure handling step-for-step identically (same retry draws,
-/// same failover order, same trace).
+/// The mutable state of one degraded-mode query of either tier. Every
+/// driver runs the same per-disk steps ([`EngineCore::degraded_primary`],
+/// [`EngineCore::plan_failover`], [`EngineCore::degraded_failover`]) in
+/// the same order, so the paper's failure handling is identical whichever
+/// thread runs each step (same retry draws, same failover order, same
+/// trace).
 pub(crate) struct DegradedState {
     pub(crate) timeout: Option<Duration>,
     pub(crate) retry: RetryPolicy,
-    /// Leaf-scan precision tier; rides in the state so primary and
-    /// failover searches of one query always scan at the same tier.
-    pub(crate) tier: ScanTier,
-    pub(crate) bound: SharedBound,
+    /// What the query searches: trees or LSH shards.
+    pub(crate) target: DegradedTarget,
     pub(crate) extra_time: Vec<Duration>,
     pub(crate) candidates: Vec<Vec<Neighbor>>,
     pub(crate) down: Vec<usize>,
@@ -192,8 +196,29 @@ pub(crate) struct DegradedState {
     pub(crate) itinerary: Vec<(usize, usize)>,
     /// A down disk discovered (during planning) to have no mirrors: the
     /// query fails with `BucketUnavailable` *after* the itinerary built so
-    /// far has run, exactly as the sequential loop would.
+    /// far has run.
     pub(crate) error_after: Option<usize>,
+}
+
+/// The tier a degraded query searches.
+pub(crate) enum DegradedTarget {
+    /// The exact tier: every disk's primary tree, then the mirror trees
+    /// of each down disk, all pruned against one carried bound.
+    Exact {
+        /// Leaf-scan precision tier; primary and failover searches of one
+        /// query always scan at the same tier.
+        tier: ScanTier,
+        /// The carried pruning bound.
+        bound: SharedBound,
+    },
+    /// The approximate tier: the probe plan's disks, then the LSH mirror
+    /// shard of each down disk for the same buckets.
+    Approx {
+        /// Probe targets grouped by owning disk, ascending.
+        plan: Vec<DiskProbes>,
+        /// LSH work counters, folded into the trace at assembly.
+        counters: LshCounters,
+    },
 }
 
 impl DegradedState {
@@ -201,13 +226,12 @@ impl DegradedState {
         disks: usize,
         timeout: Option<Duration>,
         retry: RetryPolicy,
-        tier: ScanTier,
+        target: DegradedTarget,
     ) -> Self {
         DegradedState {
             timeout,
             retry,
-            tier,
-            bound: SharedBound::new(),
+            target,
             extra_time: vec![Duration::ZERO; disks],
             candidates: vec![Vec::new(); disks],
             down: Vec::new(),
@@ -216,6 +240,16 @@ impl DegradedState {
             retries_total: 0,
             itinerary: Vec::new(),
             error_after: None,
+        }
+    }
+
+    /// The disk of primary step `i`, or `None` once every primary step
+    /// ran: all disks in order for the exact tier, the plan's disks for
+    /// the approximate one.
+    pub(crate) fn primary_disk(&self, i: usize) -> Option<usize> {
+        match &self.target {
+            DegradedTarget::Exact { .. } => (i < self.candidates.len()).then_some(i),
+            DegradedTarget::Approx { plan, .. } => plan.get(i).map(|p| p.disk),
         }
     }
 }
@@ -255,19 +289,6 @@ impl EngineCore {
         }
     }
 
-    /// Runs the deterministic forest search (the canonical batch path):
-    /// all trees under one bounded heap, visited in MINDIST order.
-    pub(crate) fn forest_search(
-        &self,
-        query: &Point,
-        k: usize,
-        tier: ScanTier,
-    ) -> (Vec<Neighbor>, Vec<SearchStats>) {
-        let guards: Vec<_> = self.trees.iter().map(|t| t.read()).collect();
-        let refs: Vec<&SpatialTree> = guards.iter().map(|g| &**g).collect();
-        forest_knn_traced_tiered(&refs, query, k, self.config.algorithm, tier)
-    }
-
     /// The RKV itinerary of the current trees (see
     /// [`parsim_index::forest_itinerary`]).
     pub(crate) fn itinerary(&self, query: &Point) -> Vec<(f64, usize)> {
@@ -302,6 +323,60 @@ impl EngineCore {
             .knn_traced_tiered(query, k, KnnAlgorithm::Hs, Some(bound), tier)
     }
 
+    /// The approximate tier. Approximate tasks are built only when the
+    /// tier exists, so only they call this.
+    pub(crate) fn lsh(&self) -> &LshRuntime {
+        self.lsh.as_ref().expect("Approx stage needs the LSH tier")
+    }
+
+    /// Searches one copy of disk `d`'s data for a degraded query: its
+    /// primary (`host == None`) or the mirror hosted on `host`. The
+    /// returned stats count the pages the copy's host disk read.
+    fn degraded_search(
+        &self,
+        d: usize,
+        host: Option<usize>,
+        query: &Point,
+        k: usize,
+        target: &mut DegradedTarget,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        match target {
+            DegradedTarget::Exact { tier, bound } => {
+                let algorithm = self.config.algorithm;
+                match host {
+                    None => self.trees[d].read().knn_traced_tiered(
+                        query,
+                        k,
+                        algorithm,
+                        Some(bound),
+                        *tier,
+                    ),
+                    Some(host) => {
+                        let mirrors = self.mirrors[d].read();
+                        let mirror = mirrors.get(&host).expect("planned failover host exists");
+                        mirror.knn_traced_tiered(query, k, algorithm, Some(bound), *tier)
+                    }
+                }
+            }
+            DegradedTarget::Approx { plan, counters } => {
+                let at = plan
+                    .binary_search_by_key(&d, |p| p.disk)
+                    .expect("degraded approx steps visit plan disks only");
+                let buckets = &plan[at].buckets;
+                let mut stats = SearchStats::default();
+                let cands = match host {
+                    None => self
+                        .lsh()
+                        .scan_disk(d, buckets, query, k, &mut stats, counters),
+                    Some(_) => self
+                        .lsh()
+                        .scan_mirror(d, buckets, query, k, &mut stats, counters),
+                };
+                (cands, stats)
+            }
+        }
+    }
+
     /// The degraded primary step of one disk: skip it if hard-failed,
     /// otherwise search it, replay the flaky-read error stream, and apply
     /// the timeout budget. An unusable disk joins `state.down`.
@@ -318,13 +393,7 @@ impl EngineCore {
             state.down.push(disk);
             return;
         }
-        let (cands, s) = self.trees[disk].read().knn_traced_tiered(
-            query,
-            k,
-            self.config.algorithm,
-            Some(&state.bound),
-            state.tier,
-        );
+        let (cands, s) = self.degraded_search(disk, None, query, k, &mut state.target);
         stats[disk].merge(s);
         let mut alive = true;
         if matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
@@ -353,24 +422,29 @@ impl EngineCore {
     }
 
     /// Plans the failover itinerary once every primary step ran: each
-    /// non-empty down disk contributes its mirror hosts in ascending
-    /// order. A down disk with no mirrors truncates the plan and records
-    /// the error, preserving the sequential loop's fail-after-searching
-    /// order.
+    /// down disk contributes its mirror hosts in ascending order (for the
+    /// exact tier, a down disk with an empty tree has nothing to serve).
+    /// A down disk with no mirror truncates the plan and records the
+    /// error, so the query fails after searching what it could.
     pub(crate) fn plan_failover(&self, state: &mut DegradedState) {
         for i in 0..state.down.len() {
             let d = state.down[i];
-            if self.trees[d].read().is_empty() {
-                continue;
-            }
-            let mirrors = self.mirrors[d].read();
-            if mirrors.is_empty() {
+            let hosts: Vec<usize> = match state.target {
+                DegradedTarget::Exact { .. } => {
+                    if self.trees[d].read().is_empty() {
+                        continue;
+                    }
+                    self.mirrors[d].read().keys().copied().collect()
+                }
+                DegradedTarget::Approx { .. } => self.lsh().mirror_host(d).into_iter().collect(),
+            };
+            if hosts.is_empty() {
                 state.error_after = Some(d);
                 break;
             }
-            for &host in mirrors.keys() {
-                state.itinerary.push((d, host));
-            }
+            state
+                .itinerary
+                .extend(hosts.into_iter().map(|host| (d, host)));
         }
     }
 
@@ -391,17 +465,7 @@ impl EngineCore {
         if faults.is_failed(host) {
             return Err(EngineError::BucketUnavailable { disk: d });
         }
-        let (cands, s) = {
-            let mirrors = self.mirrors[d].read();
-            let mirror = mirrors.get(&host).expect("planned failover host exists");
-            mirror.knn_traced_tiered(
-                query,
-                k,
-                self.config.algorithm,
-                Some(&state.bound),
-                state.tier,
-            )
-        };
+        let (cands, s) = self.degraded_search(d, Some(host), query, k, &mut state.target);
         if matches!(faults.fault(host), Some(FaultKind::Flaky { .. })) {
             let (retries, extra, ok) =
                 simulate_flaky_reads(faults, host, s.pages, &state.retry, self.array.model());
@@ -449,8 +513,15 @@ impl EngineCore {
             }
             modeled_parallel = modeled_parallel.max(t);
         }
-        let merged = merge_candidates(state.candidates.iter().map(Vec::as_slice), k);
+        let locals = state.candidates.iter().map(Vec::as_slice);
         let mut trace = QueryTrace::from_stats(stats, wall, model);
+        let merged = match state.target {
+            DegradedTarget::Exact { .. } => merge_candidates(locals, k),
+            DegradedTarget::Approx { counters, .. } => {
+                counters.fold_into(&mut trace);
+                merge_unique_candidates(locals, k)
+            }
+        };
         let healthy_parallel = trace.modeled_parallel;
         trace.modeled_parallel = modeled_parallel;
         trace.degraded = Some(DegradedInfo {
@@ -608,133 +679,119 @@ impl EngineInner {
         })
     }
 
-    /// Dispatches a dimension-checked query to the pool (pooled mode) or
-    /// computes it synchronously (scoped mode). `wave` groups queries
-    /// into one coalescing wave; `None` draws a fresh (private) wave.
-    /// `overlay` is the query's delta-buffer snapshot: the search runs
-    /// with `k` inflated by its tombstone count and the handle merges the
-    /// snapshot into the answer on [`PendingQuery::wait`].
+    /// Builds the dimension-checked query's [`QueryTask`] and hands it to
+    /// the pool (pooled mode) or runs it inline (scoped mode). On a scoped
+    /// engine, `fan_out` lets a healthy exact query take the per-disk
+    /// fan-out of [`EngineInner::knn_healthy`] instead. `wave` groups
+    /// pooled queries into one coalescing wave; `None` draws a fresh
+    /// (private) wave. `overlay` is the query's delta-buffer snapshot:
+    /// the search runs with `k` inflated by its tombstone count and the
+    /// handle merges the snapshot into the answer on
+    /// [`PendingQuery::wait`].
     pub(crate) fn submit_with_wave(
         &self,
         query: &Point,
         opts: &QueryOptions,
         wave: Option<u64>,
         overlay: Option<QueryOverlay>,
+        fan_out: bool,
     ) -> Result<PendingQuery, EngineError> {
+        let core = &*self.core;
+        let probes = match opts.mode {
+            QueryMode::Exact => None,
+            QueryMode::Approx { .. } if core.lsh.is_none() => {
+                return Err(EngineError::ApproxUnavailable)
+            }
+            QueryMode::Approx { probes } => Some(probes),
+        };
         let (timeout, retry) = self.resolve_policy(opts);
-        let tier = opts.tier.unwrap_or(self.core.config.tier);
+        let tier = opts.tier.unwrap_or(core.config.tier);
         let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-        let degraded = timeout.is_some() || self.core.array.faults().any_armed();
-        let model = *self.core.array.model();
-        if let QueryMode::Approx { probes } = opts.mode {
-            return self.submit_approx(
-                query, opts, probes, k, degraded, timeout, &retry, wave, overlay,
-            );
-        }
-        if let Some(m) = &self.core.metrics {
+        let degraded = timeout.is_some() || core.array.faults().any_armed();
+        let n = core.trees.len();
+        let start = Instant::now();
+        let completion = Arc::new(Completion::new());
+        let pending = PendingQuery::new(
+            Arc::clone(&completion),
+            opts.trace,
+            *core.array.model(),
+            overlay,
+        );
+        if let Some(m) = &core.metrics {
             m.record_start();
         }
-        let Some(pool) = &self.pool else {
-            // Scoped: answer now, return an already-complete handle.
-            let answer = if degraded {
-                self.knn_degraded(query, k, timeout, &retry, tier)
-            } else {
-                Ok(self.knn_healthy(query, k, tier))
-            };
-            if let Some(m) = &self.core.metrics {
-                match &answer {
-                    Ok((_, trace)) => m.record_query(trace, &model),
-                    Err(_) => m.record_failure(),
-                }
-            }
-            return Ok(PendingQuery::completed(answer, opts.trace, model).with_overlay(overlay));
-        };
-
-        let n = self.core.trees.len();
-        let completion = Arc::new(Completion::new());
-        let pending =
-            PendingQuery::new(Arc::clone(&completion), opts.trace, model).with_overlay(overlay);
-        let start = Instant::now();
-        let (first, stage) = if degraded {
-            (
-                0,
-                Stage::Degraded {
-                    state: DegradedState::new(n, timeout, retry, tier),
-                    phase: Phase::Primaries { next: 0 },
+        if k == 0 {
+            // Nothing to search: an empty answer with an all-zero trace.
+            let stats = vec![SearchStats::default(); n];
+            let trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
+            deliver(core, &completion, Ok((Vec::new(), trace)));
+            return Ok(pending);
+        }
+        if fan_out && self.pool.is_none() && probes.is_none() && !degraded {
+            deliver(core, &completion, Ok(self.knn_healthy(query, k, tier)));
+            return Ok(pending);
+        }
+        let stage = if degraded {
+            let target = match probes {
+                Some(probes) => DegradedTarget::Approx {
+                    plan: core.lsh().plan(query, probes),
+                    counters: LshCounters::default(),
                 },
-            )
+                None => DegradedTarget::Exact {
+                    tier,
+                    bound: SharedBound::new(),
+                },
+            };
+            Stage::Degraded {
+                state: DegradedState::new(n, timeout, retry, target),
+                phase: Phase::Primaries { next: 0 },
+            }
+        } else if let Some(probes) = probes {
+            Stage::Approx {
+                plan: core.lsh().plan(query, probes),
+                pos: 0,
+                candidates: vec![Vec::new(); n],
+                counters: LshCounters::default(),
+            }
         } else {
-            match self.core.config.algorithm {
-                KnnAlgorithm::Rkv => {
-                    let itinerary = self.core.itinerary(query);
-                    if k == 0 || itinerary.is_empty() {
-                        // Nothing to search: complete inline, matching the
-                        // forest search's early return. The overlay (if
-                        // any) still applies on wait.
-                        let stats = vec![SearchStats::default(); n];
-                        let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                        if let Some(m) = &self.core.metrics {
-                            m.record_query(&trace, &model);
-                        }
-                        completion.complete(Ok((Vec::new(), trace)));
-                        return Ok(pending);
-                    }
-                    let first = itinerary[0].1;
-                    (
-                        first,
-                        Stage::Rkv {
-                            cursor: ForestCursor::with_tier(k, tier),
-                            itinerary,
-                            pos: 0,
-                        },
-                    )
-                }
-                KnnAlgorithm::Hs => {
-                    if k == 0 {
-                        let stats = vec![SearchStats::default(); n];
-                        let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                        if let Some(m) = &self.core.metrics {
-                            m.record_query(&trace, &model);
-                        }
-                        completion.complete(Ok((Vec::new(), trace)));
-                        return Ok(pending);
-                    }
-                    (
-                        0,
-                        Stage::Hs {
-                            bound: SharedBound::new(),
-                            candidates: vec![Vec::new(); n],
-                            next: 0,
-                        },
-                    )
-                }
+            match core.config.algorithm {
+                KnnAlgorithm::Rkv => Stage::Rkv {
+                    cursor: ForestCursor::with_tier(k, tier),
+                    itinerary: core.itinerary(query),
+                    pos: 0,
+                },
+                KnnAlgorithm::Hs => Stage::Hs {
+                    tier,
+                    bound: SharedBound::new(),
+                    candidates: vec![Vec::new(); n],
+                    next: 0,
+                },
             }
         };
-        let deadline = opts
-            .deadline
-            .or(self.core.admission.and_then(|a| a.deadline));
-        let outcome = pool.submit(
-            first,
-            QueryTask {
-                query: query.clone(),
-                k,
-                tier,
-                stats: vec![SearchStats::default(); n],
-                start,
-                stage,
-                completion,
-                wave: wave.unwrap_or_else(|| pool.next_wave()),
-                deadline_micros: deadline.map(|d| d.as_micros() as u64),
-                spent_micros: 0,
-                seq: 0,
-            },
-        );
-        match outcome {
+        let deadline = opts.deadline.or(core.admission.and_then(|a| a.deadline));
+        let mut task = QueryTask {
+            query: query.clone(),
+            k,
+            stats: vec![SearchStats::default(); n],
+            start,
+            stage,
+            completion,
+            wave: 0,
+            deadline_micros: deadline.map(|d| d.as_micros() as u64),
+            spent_micros: 0,
+            seq: 0,
+        };
+        let Some(pool) = &self.pool else {
+            run_inline(core, task);
+            return Ok(pending);
+        };
+        task.wave = wave.unwrap_or_else(|| pool.next_wave());
+        match pool.submit(task) {
             Ok(()) => Ok(pending),
             Err(e) => {
                 // The task never entered the system: surface the typed
                 // rejection instead of the (never-completing) handle.
-                if let Some(m) = &self.core.metrics {
+                if let Some(m) = &core.metrics {
                     m.record_shed_overloaded();
                 }
                 Err(e)
@@ -744,6 +801,8 @@ impl EngineInner {
 
     /// The scoped healthy fast path: one scoped thread per disk, shared
     /// pruning bound, exact per-query trace — the paper's Var. 3 search.
+    /// The threads race on the shared bound, so the page trace can vary
+    /// from run to run; the answer cannot.
     fn knn_healthy(&self, query: &Point, k: usize, tier: ScanTier) -> (Vec<Neighbor>, QueryTrace) {
         let algorithm = self.core.config.algorithm;
         let start = Instant::now();
@@ -773,262 +832,6 @@ impl EngineInner {
         let stats: Vec<_> = locals.iter().map(|(_, s)| *s).collect();
         let trace = QueryTrace::from_stats(&stats, wall, self.core.array.model());
         (merged, trace)
-    }
-
-    /// Degraded execution, scoped flavor: the same per-disk steps the
-    /// pooled pipeline runs ([`EngineCore::degraded_primary`] /
-    /// [`EngineCore::degraded_failover`]), driven sequentially so the
-    /// retry draws — and therefore the whole trace — are deterministic
-    /// for a given injector seed.
-    fn knn_degraded(
-        &self,
-        query: &Point,
-        k: usize,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-        tier: ScanTier,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
-        let core = &self.core;
-        let n = core.trees.len();
-        let start = Instant::now();
-        let mut stats = vec![SearchStats::default(); n];
-        let mut state = DegradedState::new(n, timeout, *retry, tier);
-        for disk in 0..n {
-            core.degraded_primary(disk, query, k, &mut state, &mut stats);
-        }
-        core.plan_failover(&mut state);
-        for pos in 0..state.itinerary.len() {
-            core.degraded_failover(pos, query, k, &mut state, &mut stats)?;
-        }
-        core.assemble_degraded(state, k, &stats, start.elapsed())
-    }
-
-    /// Dispatches one `Approx`-mode query: sequentially on a scoped
-    /// engine (and for degraded or trivial queries on a pooled one —
-    /// degraded failover needs the whole plan's outcome, so there is
-    /// nothing to pipeline), or as a [`Stage::Approx`] task traveling the
-    /// probe plan disk to disk on the healthy pooled path.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_approx(
-        &self,
-        query: &Point,
-        opts: &QueryOptions,
-        probes: usize,
-        k: usize,
-        degraded: bool,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-        wave: Option<u64>,
-        overlay: Option<QueryOverlay>,
-    ) -> Result<PendingQuery, EngineError> {
-        if self.core.lsh.is_none() {
-            return Err(EngineError::ApproxUnavailable);
-        }
-        let model = *self.core.array.model();
-        if let Some(m) = &self.core.metrics {
-            m.record_start();
-        }
-        let n = self.core.trees.len();
-        let pooled_healthy = self.pool.is_some() && !degraded && k > 0;
-        if !pooled_healthy {
-            let start = Instant::now();
-            let answer = if k == 0 {
-                let stats = vec![SearchStats::default(); n];
-                Ok((
-                    Vec::new(),
-                    QueryTrace::from_stats(&stats, start.elapsed(), &model),
-                ))
-            } else {
-                self.knn_approx(query, k, probes, degraded, timeout, retry)
-            };
-            if let Some(m) = &self.core.metrics {
-                match &answer {
-                    Ok((_, trace)) => m.record_query(trace, &model),
-                    Err(_) => m.record_failure(),
-                }
-            }
-            return Ok(PendingQuery::completed(answer, opts.trace, model).with_overlay(overlay));
-        }
-        let pool = self.pool.as_ref().expect("pooled_healthy implies a pool");
-        let lsh = self.core.lsh.as_ref().expect("checked above");
-        let plan = lsh.plan(query, probes);
-        let completion = Arc::new(Completion::new());
-        let pending =
-            PendingQuery::new(Arc::clone(&completion), opts.trace, model).with_overlay(overlay);
-        let first = plan[0].disk;
-        let deadline = opts
-            .deadline
-            .or(self.core.admission.and_then(|a| a.deadline));
-        let outcome = pool.submit(
-            first,
-            QueryTask {
-                query: query.clone(),
-                k,
-                tier: opts.tier.unwrap_or(self.core.config.tier),
-                stats: vec![SearchStats::default(); n],
-                start: Instant::now(),
-                stage: Stage::Approx {
-                    plan,
-                    pos: 0,
-                    candidates: vec![Vec::new(); n],
-                    counters: LshCounters::default(),
-                },
-                completion,
-                wave: wave.unwrap_or_else(|| pool.next_wave()),
-                deadline_micros: deadline.map(|d| d.as_micros() as u64),
-                spent_micros: 0,
-                seq: 0,
-            },
-        );
-        match outcome {
-            Ok(()) => Ok(pending),
-            Err(e) => {
-                if let Some(m) = &self.core.metrics {
-                    m.record_shed_overloaded();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Sequential `Approx` execution (the reference implementation, also
-    /// the degraded path): scan the probe plan's buckets disk by disk,
-    /// failing lost disks over to their mirror shards exactly as the
-    /// exact tier's degraded loop fails trees over to mirror trees.
-    fn knn_approx(
-        &self,
-        query: &Point,
-        k: usize,
-        probes: usize,
-        degraded: bool,
-        timeout: Option<Duration>,
-        retry: &RetryPolicy,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
-        let core = &self.core;
-        let lsh = core.lsh.as_ref().expect("caller checked the LSH tier");
-        let n = core.trees.len();
-        let start = Instant::now();
-        let mut stats = vec![SearchStats::default(); n];
-        let mut counters = LshCounters::default();
-        let mut candidates: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let plan = lsh.plan(query, probes.max(1));
-        if !degraded {
-            for dp in &plan {
-                candidates[dp.disk] = lsh.scan_disk(
-                    dp.disk,
-                    &dp.buckets,
-                    query,
-                    k,
-                    &mut stats[dp.disk],
-                    &mut counters,
-                );
-            }
-            let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
-            let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), core.array.model());
-            trace.lsh_probes = counters.probes;
-            trace.lsh_candidates = counters.candidates;
-            trace.lsh_empty_probes = counters.empty_probes;
-            return Ok((merged, trace));
-        }
-        // Degraded: the same per-disk policy as the exact tier — a
-        // hard-failed disk is skipped, a flaky one replays its error
-        // stream under the retry policy, an over-budget one is abandoned
-        // (its pages stay charged, its answer is not trusted) — and every
-        // lost disk's probe targets are served from its mirror shard.
-        let faults = core.array.faults();
-        let model = core.array.model();
-        let mut extra_time = vec![Duration::ZERO; n];
-        let mut down: Vec<usize> = Vec::new();
-        let mut failed_over: Vec<usize> = Vec::new();
-        let mut retries_total = 0u64;
-        let mut replica_pages = 0u64;
-        let mut failover: Vec<&DiskProbes> = Vec::new();
-        for dp in &plan {
-            let disk = dp.disk;
-            if faults.is_failed(disk) {
-                down.push(disk);
-                failover.push(dp);
-                continue;
-            }
-            let mut local = SearchStats::default();
-            let cands = lsh.scan_disk(disk, &dp.buckets, query, k, &mut local, &mut counters);
-            stats[disk].merge(local);
-            let mut alive = true;
-            if matches!(faults.fault(disk), Some(FaultKind::Flaky { .. })) {
-                let (retries, extra, ok) =
-                    simulate_flaky_reads(faults, disk, local.pages, retry, model);
-                retries_total += retries;
-                extra_time[disk] += extra;
-                alive = ok;
-            }
-            if alive {
-                if let Some(budget) = timeout {
-                    let disk_time = faults
-                        .model_for(disk, model)
-                        .service_time(stats[disk].pages)
-                        + extra_time[disk];
-                    alive = disk_time <= budget;
-                }
-            }
-            if alive {
-                candidates[disk] = cands;
-            } else {
-                down.push(disk);
-                failover.push(dp);
-            }
-        }
-        for dp in failover {
-            let d = dp.disk;
-            let host = lsh
-                .mirror_host(d)
-                .ok_or(EngineError::BucketUnavailable { disk: d })?;
-            if faults.is_failed(host) {
-                return Err(EngineError::BucketUnavailable { disk: d });
-            }
-            let mut local = SearchStats::default();
-            let cands = lsh.scan_mirror(d, &dp.buckets, query, k, &mut local, &mut counters);
-            if matches!(faults.fault(host), Some(FaultKind::Flaky { .. })) {
-                let (retries, extra, ok) =
-                    simulate_flaky_reads(faults, host, local.pages, retry, model);
-                retries_total += retries;
-                extra_time[host] += extra;
-                if !ok {
-                    return Err(EngineError::BucketUnavailable { disk: d });
-                }
-            }
-            replica_pages += local.pages;
-            stats[host].merge(local);
-            candidates[host].extend(cands);
-            failed_over.push(d);
-        }
-        // The degraded critical path, fault-scaled exactly as
-        // `assemble_degraded` charges it for the exact tier.
-        let mut modeled_parallel = Duration::ZERO;
-        for (i, s) in stats.iter().enumerate() {
-            let mut t = faults.model_for(i, model).service_time(s.pages) + extra_time[i];
-            if down.contains(&i) {
-                if faults.is_failed(i) {
-                    t = Duration::ZERO;
-                } else if let Some(budget) = timeout {
-                    t = t.min(budget);
-                }
-            }
-            modeled_parallel = modeled_parallel.max(t);
-        }
-        let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
-        let mut trace = QueryTrace::from_stats(&stats, start.elapsed(), model);
-        let healthy_parallel = trace.modeled_parallel;
-        trace.modeled_parallel = modeled_parallel;
-        trace.degraded = Some(DegradedInfo {
-            failed_over,
-            retries: retries_total,
-            replica_pages,
-            added_latency: modeled_parallel.saturating_sub(healthy_parallel),
-        });
-        trace.lsh_probes = counters.probes;
-        trace.lsh_candidates = counters.candidates;
-        trace.lsh_empty_probes = counters.empty_probes;
-        Ok((merged, trace))
     }
 
     fn resolve_policy(&self, opts: &QueryOptions) -> (Option<Duration>, RetryPolicy) {
@@ -1179,31 +982,39 @@ impl EngineShared {
         let new_ids: Vec<u64> = items.iter().map(|&(_, item)| item).collect();
 
         let replicated = replica_router.is_some();
-        let built = (move || -> Result<EngineInner, EngineError> {
-            if items.is_empty() {
-                return Err(EngineError::EmptyDataSet);
-            }
-            let (declusterer, replica_router) = if explicit {
-                (declusterer, replica_router)
-            } else {
-                let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &config)?;
-                resolve_default_decluster(&config, disks, replicated, splitter)?
-            };
-            EngineInner::build(
-                items,
-                declusterer,
-                replica_router,
-                config,
-                fault_policy,
-                page_cache,
-                cache_shards,
-                execution,
-                shared.metrics.clone(),
-                admission,
-                lsh_config,
-                explicit,
-            )
-        })();
+        // The build runs user code (an explicit declusterer's `assign`):
+        // a panic there is one more failed build, never a wedged capture.
+        let built = panic::catch_unwind(AssertUnwindSafe(
+            move || -> Result<EngineInner, EngineError> {
+                if items.is_empty() {
+                    return Err(EngineError::EmptyDataSet);
+                }
+                let (declusterer, replica_router) = if explicit {
+                    (declusterer, replica_router)
+                } else {
+                    let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &config)?;
+                    resolve_default_decluster(&config, disks, replicated, splitter)?
+                };
+                EngineInner::build(
+                    items,
+                    declusterer,
+                    replica_router,
+                    config,
+                    fault_policy,
+                    page_cache,
+                    cache_shards,
+                    execution,
+                    shared.metrics.clone(),
+                    admission,
+                    lsh_config,
+                    explicit,
+                )
+            },
+        ))
+        .unwrap_or_else(|payload| {
+            let cause = panic_message(payload.as_ref());
+            Err(EngineError::Internal(format!("rebuild panicked: {cause}")))
+        });
         let new_inner = match built {
             Ok(inner) => inner,
             Err(e) => {
@@ -1595,8 +1406,9 @@ impl ParallelKnnEngine {
     /// This is the paper's reorganization step for data whose
     /// distribution drifted after many insertions, made non-stop-the-
     /// world. Concurrent calls serialize; a failed rebuild (e.g. every
-    /// point removed) leaves the engine serving its old state with the
-    /// delta intact.
+    /// point removed, or a panicking explicit declusterer, reported as
+    /// [`EngineError::Internal`]) leaves the engine serving its old state
+    /// with the delta intact.
     pub fn reorganize(&self) -> Result<(), EngineError> {
         EngineShared::rebuild(&self.shared)
     }
@@ -1622,27 +1434,32 @@ impl ParallelKnnEngine {
 
     /// Enqueues one k-NN query and returns a handle to wait on.
     ///
-    /// In [`ExecutionMode::Pooled`] the query is handed to the per-disk
-    /// worker pool and this call returns immediately; the query travels
-    /// worker-to-worker along its MINDIST itinerary (RKV), or disk by
-    /// disk with a carried pruning bound (HS), or through the degraded
-    /// state machine when faults are armed. Submitting many queries
-    /// before waiting pipelines them across the disks — while one query
-    /// searches disk 3, the next searches disk 1 — with no per-batch
-    /// barrier and no thread spawned.
+    /// Every query is one task of the engine's query state machine: it
+    /// travels disk to disk along its MINDIST itinerary (RKV), or disk by
+    /// disk with a carried pruning bound (HS), or over its LSH probe plan
+    /// (approximate mode), or through the degraded steps when faults are
+    /// armed or a timeout budget applies.
     ///
-    /// In [`ExecutionMode::Scoped`] the query is answered synchronously
-    /// (scoped threads, the reference implementation) and the returned
-    /// handle is already complete.
+    /// In [`ExecutionMode::Pooled`] the task is handed to the per-disk
+    /// worker pool and this call returns immediately. Submitting many
+    /// queries before waiting pipelines them across the disks — while one
+    /// query searches disk 3, the next searches disk 1 — with no
+    /// per-batch barrier and no thread spawned.
     ///
-    /// **Determinism.** With RKV (the default), pooled answers *and*
-    /// traces (`per_disk_pages`, `dist_evals`, pruning counters) are
-    /// bit-identical to the deterministic forest search that scoped
-    /// batches run — the itinerary pipeline replays it exactly. With HS,
-    /// answers are identical but page traces differ (the pooled pipeline
-    /// searches disk-by-disk under a carried bound; the scoped batch path
-    /// interleaves all disks through one global queue). Cache-hit
-    /// counters are execution-order dependent in all modes.
+    /// In [`ExecutionMode::Scoped`] the query is answered before this
+    /// call returns and the handle is already complete: a healthy exact
+    /// query runs the per-disk fan-out (one scoped thread per disk under
+    /// a shared bound); every other query runs its task inline on the
+    /// calling thread.
+    ///
+    /// **Determinism.** A task's answer *and* trace (`per_disk_pages`,
+    /// `dist_evals`, pruning and LSH counters, the degraded record) are
+    /// the same whichever driver runs it, so scoped and pooled batches
+    /// agree exactly; with RKV they also equal the reference forest
+    /// search. The one exception is the scoped single healthy exact
+    /// query: its per-disk threads race on the shared bound, so its
+    /// answer is exact but its page trace can vary. Cache-hit counters
+    /// are execution-order dependent in all modes.
     pub fn submit(&self, query: &Point, opts: &QueryOptions) -> Result<PendingQuery, EngineError> {
         let inner = self.shared.inner.read();
         if query.dim() != inner.core.config.dim {
@@ -1652,7 +1469,7 @@ impl ParallelKnnEngine {
             });
         }
         let overlay = self.shared.overlay_for(query, opts.k);
-        inner.submit_with_wave(query, opts, None, overlay)
+        inner.submit_with_wave(query, opts, None, overlay, true)
     }
 
     /// Submits a group of queries as one **coalescing wave**: with
@@ -1689,7 +1506,7 @@ impl ParallelKnnEngine {
             .iter()
             .map(|q| {
                 let overlay = self.shared.overlay_for(q, opts.k);
-                inner.submit_with_wave(q, opts, wave, overlay)
+                inner.submit_with_wave(q, opts, wave, overlay, true)
             })
             .collect())
     }
@@ -1717,12 +1534,14 @@ impl ParallelKnnEngine {
     /// In [`ExecutionMode::Scoped`] the batch runs on a bounded scoped
     /// worker pool ([`QueryOptions::workers`], defaulting to the host's
     /// available parallelism) in the paper's **inter-query** parallel
-    /// mode: each worker pulls the next unanswered query.
+    /// mode: each worker claims the next unanswered query and runs its
+    /// task inline.
     ///
     /// Results are in query order, each with its own exact [`QueryTrace`]
-    /// when tracing is on. With faults armed or a timeout budget set,
-    /// both modes run the same degraded execution as
-    /// [`ParallelKnnEngine::query`].
+    /// when tracing is on; both modes run the same tasks, so answers and
+    /// traces agree (see [`ParallelKnnEngine::submit`]). With faults
+    /// armed or a timeout budget set, both modes run the same degraded
+    /// execution as [`ParallelKnnEngine::query`].
     pub fn query_batch(
         &self,
         queries: &[Point],
@@ -1737,26 +1556,21 @@ impl ParallelKnnEngine {
                 });
             }
         }
+        // Each query gets a private wave (batches don't coalesce — use
+        // `query_wave` for read-sharing).
+        let submit = |q: &Point| {
+            let overlay = self.shared.overlay_for(q, opts.k);
+            inner.submit_with_wave(q, opts, None, overlay, false)
+        };
         if inner.pool.is_some() {
-            // Each query gets a private wave (batches don't coalesce —
-            // use `query_wave` for read-sharing); the first admission
-            // rejection aborts the batch, already-submitted queries
-            // drain normally with their answers discarded.
-            let pending: Vec<PendingQuery> = queries
-                .iter()
-                .map(|q| {
-                    let overlay = self.shared.overlay_for(q, opts.k);
-                    inner.submit_with_wave(q, opts, None, overlay)
-                })
-                .collect::<Result<_, _>>()?;
+            // The first admission rejection aborts the batch;
+            // already-submitted queries drain normally with their answers
+            // discarded.
+            let pending: Vec<PendingQuery> =
+                queries.iter().map(submit).collect::<Result<_, _>>()?;
             drop(inner);
             return pending.into_iter().map(PendingQuery::wait).collect();
         }
-        let (timeout, retry) = inner.resolve_policy(opts);
-        let tier = opts.tier.unwrap_or(inner.core.config.tier);
-        let degraded = timeout.is_some() || inner.core.array.faults().any_armed();
-        let model = *inner.core.array.model();
-        let next = AtomicUsize::new(0);
         let workers = opts
             .workers
             .unwrap_or_else(|| {
@@ -1765,81 +1579,33 @@ impl ParallelKnnEngine {
                     .unwrap_or(1)
             })
             .clamp(1, queries.len().max(1));
-        let mut results: Vec<Option<TracedAnswer>> = (0..queries.len()).map(|_| None).collect();
-        let shared = &*self.shared;
-        let inner_ref = &*inner;
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<Option<Result<QueryResult, EngineError>>> =
+            (0..queries.len()).map(|_| None).collect();
         std::thread::scope(|s| {
-            let next = &next;
-            let retry = &retry;
-            let core = &inner_ref.core;
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    s.spawn(move || {
+                    s.spawn(|| {
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= queries.len() {
                                 return out;
                             }
-                            let overlay = shared.overlay_for(&queries[i], opts.k);
-                            let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-                            let answer = if let QueryMode::Approx { probes } = opts.mode {
-                                if core.lsh.is_none() {
-                                    Err(EngineError::ApproxUnavailable)
-                                } else {
-                                    inner_ref.knn_approx(
-                                        &queries[i],
-                                        k,
-                                        probes,
-                                        degraded,
-                                        timeout,
-                                        retry,
-                                    )
-                                }
-                            } else if degraded {
-                                inner_ref.knn_degraded(&queries[i], k, timeout, retry, tier)
-                            } else {
-                                let start = Instant::now();
-                                let (res, stats) = core.forest_search(&queries[i], k, tier);
-                                let trace = QueryTrace::from_stats(&stats, start.elapsed(), &model);
-                                Ok((res, trace))
-                            };
-                            let answer = answer.map(|(neighbors, trace)| {
-                                let neighbors = match &overlay {
-                                    Some(o) => o.apply(neighbors),
-                                    None => neighbors,
-                                };
-                                (neighbors, trace)
-                            });
-                            if let Some(m) = &core.metrics {
-                                m.record_start();
-                                match &answer {
-                                    Ok((_, trace)) => m.record_query(trace, &model),
-                                    Err(_) => m.record_failure(),
-                                }
-                            }
-                            out.push((i, answer));
+                            out.push((i, submit(&queries[i]).and_then(PendingQuery::wait)));
                         }
                     })
                 })
                 .collect();
             for h in handles {
-                for (i, answer) in h.join().expect("batch worker does not panic") {
-                    results[i] = Some(answer);
+                for (i, result) in h.join().expect("batch worker does not panic") {
+                    results[i] = Some(result);
                 }
             }
         });
         results
             .into_iter()
-            .map(|r| {
-                let (neighbors, trace) = r.expect("every query index was claimed by a worker")?;
-                let cost = trace.cost(&model);
-                Ok(QueryResult {
-                    neighbors,
-                    cost,
-                    trace: opts.trace.then_some(trace),
-                })
-            })
+            .map(|r| r.expect("every query index was claimed by a worker"))
             .collect()
     }
 
@@ -1849,49 +1615,6 @@ impl ParallelKnnEngine {
     pub fn knn(&self, query: &Point, k: usize) -> Result<(Vec<Neighbor>, QueryCost), EngineError> {
         let result = self.query(query, &QueryOptions::new(k))?;
         Ok((result.neighbors, result.cost))
-    }
-
-    /// Runs [`ParallelKnnEngine::knn`] and returns the full
-    /// [`QueryTrace`] — per-disk pages, pruning and cache counters,
-    /// measured wall-clock vs modeled service time, and the degraded-mode
-    /// record when failure handling engaged.
-    pub fn knn_traced(
-        &self,
-        query: &Point,
-        k: usize,
-    ) -> Result<(Vec<Neighbor>, QueryTrace), EngineError> {
-        let result = self.query(query, &QueryOptions::traced(k))?;
-        let trace = result.trace.expect("trace was requested");
-        Ok((result.neighbors, trace))
-    }
-
-    /// Answers a batch of queries on a worker pool sized to the host's
-    /// available parallelism. See [`ParallelKnnEngine::query_batch`].
-    pub fn knn_batch(
-        &self,
-        queries: &[Point],
-        k: usize,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryTrace)>, EngineError> {
-        let results = self.query_batch(queries, &QueryOptions::traced(k))?;
-        Ok(results
-            .into_iter()
-            .map(|r| (r.neighbors, r.trace.expect("trace was requested")))
-            .collect())
-    }
-
-    /// Answers a batch of queries on a bounded pool of `workers` threads.
-    /// See [`ParallelKnnEngine::query_batch`].
-    pub fn knn_batch_with(
-        &self,
-        queries: &[Point],
-        k: usize,
-        workers: usize,
-    ) -> Result<Vec<(Vec<Neighbor>, QueryTrace)>, EngineError> {
-        let results = self.query_batch(queries, &QueryOptions::traced(k).with_workers(workers))?;
-        Ok(results
-            .into_iter()
-            .map(|r| (r.neighbors, r.trace.expect("trace was requested")))
-            .collect())
     }
 
     /// Runs a k-NN query with **independent** per-disk searches: every
@@ -2392,9 +2115,46 @@ mod tests {
         assert_eq!(e.len(), 38);
     }
 
+    /// A hand-built approx task for an engine built without the LSH tier:
+    /// its first step, on disk 0, reaches the "Approx stage needs the LSH
+    /// tier" expect and panics.
+    fn panicking_task(inner: &EngineInner, query: &Point) -> (QueryTask, PendingQuery) {
+        use crate::lsh::{DiskProbes, LshCounters};
+
+        let completion = Arc::new(Completion::new());
+        let pending = PendingQuery::new(
+            Arc::clone(&completion),
+            false,
+            *inner.core.array.model(),
+            None,
+        );
+        let n = inner.core.trees.len();
+        inner.core.metrics.as_ref().unwrap().record_start();
+        let task = QueryTask {
+            query: query.clone(),
+            k: 3,
+            stats: vec![SearchStats::default(); n],
+            start: Instant::now(),
+            stage: Stage::Approx {
+                plan: vec![DiskProbes {
+                    disk: 0,
+                    buckets: Vec::new(),
+                }],
+                pos: 0,
+                candidates: vec![Vec::new(); n],
+                counters: LshCounters::default(),
+            },
+            completion,
+            wave: 0,
+            deadline_micros: None,
+            spent_micros: 0,
+            seq: 0,
+        };
+        (task, pending)
+    }
+
     #[test]
     fn a_panicking_pool_step_fails_the_query_and_the_engine_still_drops() {
-        use crate::lsh::{DiskProbes, LshCounters};
         use std::sync::mpsc;
 
         let pts = UniformGenerator::new(4).generate(400, 3);
@@ -2404,42 +2164,12 @@ mod tests {
             .metrics(true)
             .build(&pts)
             .unwrap();
-        // An approx task on an engine built without the LSH tier reaches
-        // the step's "Approx stage needs the LSH tier" expect and panics
-        // inside the disk-0 worker.
+        // The task panics inside the disk-0 worker.
         let pending = {
             let inner = e.shared.inner.read();
             let pool = inner.pool.as_ref().expect("pooled engine has a pool");
-            let completion = Arc::new(Completion::new());
-            let pending =
-                PendingQuery::new(Arc::clone(&completion), false, *inner.core.array.model());
-            let n = inner.core.trees.len();
-            inner.core.metrics.as_ref().unwrap().record_start();
-            pool.submit(
-                0,
-                QueryTask {
-                    query: pts[0].clone(),
-                    k: 3,
-                    tier: ScanTier::F64,
-                    stats: vec![SearchStats::default(); n],
-                    start: Instant::now(),
-                    stage: Stage::Approx {
-                        plan: vec![DiskProbes {
-                            disk: 0,
-                            buckets: Vec::new(),
-                        }],
-                        pos: 0,
-                        candidates: vec![Vec::new(); n],
-                        counters: LshCounters::default(),
-                    },
-                    completion,
-                    wave: pool.next_wave(),
-                    deadline_micros: None,
-                    spent_micros: 0,
-                    seq: 0,
-                },
-            )
-            .unwrap();
+            let (task, pending) = panicking_task(&inner, &pts[0]);
+            pool.submit(task).unwrap();
             pending
         };
         let (tx, rx) = mpsc::channel();
@@ -2471,6 +2201,126 @@ mod tests {
         });
         rx.recv_timeout(Duration::from_secs(20))
             .expect("engine drop must not hang after a worker panic");
+    }
+
+    #[test]
+    fn a_panicking_inline_step_fails_the_query_and_the_engine_keeps_serving() {
+        // The inline driver shares the pool's panic containment: the same
+        // hand-built task, run on the caller's thread, completes with a
+        // typed error instead of unwinding into the caller.
+        let pts = UniformGenerator::new(4).generate(400, 3);
+        let e = ParallelKnnEngine::builder(4)
+            .disks(4)
+            .metrics(true)
+            .build(&pts)
+            .unwrap();
+        let pending = {
+            let inner = e.shared.inner.read();
+            assert!(inner.pool.is_none(), "scoped engines have no pool");
+            let (task, pending) = panicking_task(&inner, &pts[0]);
+            run_inline(&inner.core, task);
+            pending
+        };
+        assert!(pending.is_ready(), "the inline driver runs to completion");
+        match pending.wait() {
+            Err(EngineError::Internal(msg)) => {
+                assert!(msg.contains("Approx stage needs the LSH tier"), "{msg}")
+            }
+            other => panic!("expected EngineError::Internal, got {other:?}"),
+        }
+        let (res, _) = e.knn(&pts[7], 1).unwrap();
+        assert_eq!(res[0].dist, 0.0);
+        let s = e.metrics().unwrap().snapshot();
+        assert_eq!(s.counter_total("parsim_queries_failed_total"), 1);
+    }
+
+    /// Round-robin placement that, once armed, panics on every bulk-loaded
+    /// item id (below `bulk`): the rebuild's partition pass panics, while
+    /// `insert` — which assigns fresh ids only — never does.
+    struct PanickyDeclusterer {
+        disks: usize,
+        bulk: u64,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl Declusterer for PanickyDeclusterer {
+        fn name(&self) -> String {
+            "panicky".into()
+        }
+
+        fn disks(&self) -> usize {
+            self.disks
+        }
+
+        fn assign(&self, seq: u64, _p: &Point) -> usize {
+            if seq < self.bulk && self.armed.load(Ordering::SeqCst) {
+                panic!("declusterer armed to panic");
+            }
+            seq as usize % self.disks
+        }
+    }
+
+    #[test]
+    fn a_panicking_rebuild_fails_typed_and_ingest_keeps_rebuilding() {
+        let pts = UniformGenerator::new(4).generate(200, 5);
+        let armed = Arc::new(AtomicBool::new(false));
+        let e = ParallelKnnEngine::builder(4)
+            .declusterer(Arc::new(PanickyDeclusterer {
+                disks: 4,
+                bulk: pts.len() as u64,
+                armed: Arc::clone(&armed),
+            }))
+            .metrics(true)
+            .ingest(IngestConfig::new(64).with_rebuild_threshold(10))
+            .build(&pts)
+            .unwrap();
+        let extra = UniformGenerator::new(4).generate(11, 6);
+        let mut data: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
+        let mut insert = |p: &Point| {
+            let item = e.insert(p.clone()).unwrap();
+            data.push((p.clone(), item));
+        };
+        armed.store(true, Ordering::SeqCst);
+        for p in &extra[..9] {
+            insert(p);
+        }
+        // An explicit reorganize reports the panic as a typed error and
+        // closes the journal capture.
+        assert!(matches!(e.reorganize(), Err(EngineError::Internal(_))));
+        assert!(!e.shared.delta.lock().capturing());
+        assert_eq!(e.delta_size(), 9);
+        // The 10th write triggers a background rebuild, which panics too:
+        // the capture closes and the trigger latch is released.
+        insert(&extra[9]);
+        let handle = e.shared.rebuild_handle.lock().take();
+        handle
+            .expect("the threshold started a rebuild")
+            .join()
+            .unwrap();
+        assert!(!e.shared.rebuild_running.load(Ordering::SeqCst));
+        assert!(!e.shared.delta.lock().capturing());
+        assert_eq!(e.delta_size(), 10);
+        let s = e.metrics().unwrap().snapshot();
+        assert_eq!(s.counter_total("parsim_rebuilds_failed_total"), 2);
+        // Disarmed, the next triggering write rebuilds in the background.
+        armed.store(false, Ordering::SeqCst);
+        insert(&extra[10]);
+        let handle = e.shared.rebuild_handle.lock().take();
+        handle
+            .expect("the threshold started a rebuild")
+            .join()
+            .unwrap();
+        assert_eq!(e.delta_size(), 0);
+        assert_eq!(e.len(), data.len());
+        for q in &UniformGenerator::new(4).generate(6, 8) {
+            let got = e.query(q, &QueryOptions::new(10)).unwrap().neighbors;
+            let want = brute_force_knn(&data, q, 10);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.dist.to_bits(), w.dist.to_bits());
+                assert_eq!(g.item, w.item);
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@ use parsim_index::knn::{Neighbor, SearchStats};
 use parsim_index::{LshConfig, LshTables};
 use parsim_storage::{VectorArena, PAGE_SIZE};
 
+use crate::metrics::QueryTrace;
+
 /// LSH-specific work counters of one query, carried next to the
 /// [`SearchStats`] and folded into the trace at completion.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,6 +43,15 @@ pub(crate) struct LshCounters {
     /// Probed buckets that held no rows — the recall proxy: a rising
     /// empty-probe share means the probe budget is wasted on vacuum.
     pub(crate) empty_probes: u64,
+}
+
+impl LshCounters {
+    /// Copies the counters into the query's trace.
+    pub(crate) fn fold_into(self, trace: &mut QueryTrace) {
+        trace.lsh_probes = self.probes;
+        trace.lsh_candidates = self.candidates;
+        trace.lsh_empty_probes = self.empty_probes;
+    }
 }
 
 /// The probe targets of one query on one disk: every `(table, signature)`

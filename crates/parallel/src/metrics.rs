@@ -11,6 +11,7 @@ use parsim_storage::{DiskModel, QueryCost};
 
 use crate::declustered::DeclusteredXTree;
 use crate::engine::ParallelKnnEngine;
+use crate::options::QueryOptions;
 use crate::sequential::SequentialEngine;
 use crate::EngineError;
 
@@ -36,9 +37,9 @@ pub struct DegradedInfo {
 
 /// The observability record of one traced query.
 ///
-/// Produced by [`ParallelKnnEngine::query`],
-/// [`ParallelKnnEngine::knn_traced`] and
-/// [`ParallelKnnEngine::knn_batch`]; serializable to JSON with
+/// Produced by [`ParallelKnnEngine::query`] and
+/// [`ParallelKnnEngine::query_batch`] under [`QueryOptions::traced`];
+/// serializable to JSON with
 /// [`serde::Serialize::to_json`] for offline analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryTrace {
@@ -218,7 +219,7 @@ impl WorkloadCost {
     }
 
     /// Aggregates a batch of per-query traces into a workload cost, so
-    /// trace-based runs ([`ParallelKnnEngine::knn_batch`]) report the same
+    /// trace-based runs ([`ParallelKnnEngine::query_batch`]) report the same
     /// figures as the scope-based runners.
     pub fn from_traces(traces: &[QueryTrace], model: &DiskModel) -> WorkloadCost {
         let costs: Vec<QueryCost> = traces.iter().map(|t| t.cost(model)).collect();
@@ -258,8 +259,8 @@ pub fn run_traced_workload(
 ) -> Result<(WorkloadCost, Vec<QueryTrace>), EngineError> {
     let mut traces = Vec::with_capacity(queries.len());
     for q in queries {
-        let (_, t) = engine.knn_traced(q, k)?;
-        traces.push(t);
+        let result = engine.query(q, &QueryOptions::traced(k))?;
+        traces.push(result.trace.expect("trace was requested"));
     }
     Ok((
         WorkloadCost::from_traces(&traces, engine.array().model()),

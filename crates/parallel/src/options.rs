@@ -1,7 +1,6 @@
 //! Query options and fault policy for the parallel engine.
 //!
-//! [`QueryOptions`] unifies the former `knn` / `knn_traced` /
-//! `knn_batch_with` entry-point sprawl into one record consumed by
+//! [`QueryOptions`] is the one record of per-query knobs consumed by
 //! [`crate::ParallelKnnEngine::query`] and
 //! [`crate::ParallelKnnEngine::query_batch`]; [`FaultPolicy`] carries the
 //! engine-wide degraded-mode defaults set at build time via
@@ -14,20 +13,24 @@ use parsim_storage::QueryCost;
 
 use crate::metrics::QueryTrace;
 
-/// How the engine executes queries.
+/// How the engine executes queries: which driver runs each query's task.
 ///
-/// [`ExecutionMode::Scoped`] is the reference implementation: every call
-/// spawns scoped threads (one per disk for a single query, a bounded
-/// claim-the-next-query pool for batches) that die with the call.
-/// [`ExecutionMode::Pooled`] starts one **persistent worker thread per
-/// disk** at build time; queries are enqueued and *pipelined* from worker
-/// to worker, so consecutive queries overlap across disks without a
-/// per-batch barrier and no thread is ever spawned on the query path.
-/// Answers are bit-identical in both modes; see
+/// Every query is one task of the engine's query state machine, stepped
+/// disk by disk along its itinerary; the mode only chooses who runs the
+/// steps. [`ExecutionMode::Scoped`] runs them on the calling thread (a
+/// batch uses a bounded claim-the-next-query worker scope, see
+/// [`QueryOptions::workers`]); its one exception is a single healthy
+/// exact query, which fans out one scoped thread per disk under a shared
+/// pruning bound. [`ExecutionMode::Pooled`] starts one **persistent
+/// worker thread per disk** at build time; tasks are enqueued and
+/// *pipelined* from worker to worker, so consecutive queries overlap
+/// across disks without a per-batch barrier and no thread is ever spawned
+/// on the query path. Answers are bit-identical in both modes; see
 /// [`crate::ParallelKnnEngine::submit`] for the trace guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Spawn scoped threads per call (the reference implementation).
+    /// Run each query on the calling thread (scoped threads for batches
+    /// and the single-query fan-out).
     #[default]
     Scoped,
     /// Long-lived per-disk workers fed by submission queues.
@@ -143,16 +146,18 @@ pub struct QueryOptions {
     /// Retry policy for this query; overrides the engine's
     /// [`FaultPolicy::retry`] when set.
     pub retry: Option<RetryPolicy>,
-    /// Worker threads for [`crate::ParallelKnnEngine::query_batch`]
+    /// Worker threads of a scoped [`crate::ParallelKnnEngine::query_batch`]
     /// (clamped to at least 1; defaults to the host's available
-    /// parallelism). Ignored by single-query execution.
+    /// parallelism): each claims the next query and runs it inline.
+    /// Ignored by single queries and by pooled engines, whose
+    /// parallelism is one worker per disk.
     pub workers: Option<usize>,
     /// Modeled end-to-end service-time budget for this query on the
     /// serve layer: overrides [`crate::AdmissionConfig::deadline`] when
     /// set. At every pipeline hop the pool compares the modeled service
     /// time the query has consumed against the budget and sheds doomed
-    /// work with [`crate::EngineError::DeadlineExceeded`]. Ignored by
-    /// scoped execution (which computes eagerly).
+    /// work with [`crate::EngineError::DeadlineExceeded`]. Only the pool
+    /// sheds: scoped execution runs every query to completion.
     pub deadline: Option<Duration>,
     /// Precision tier of the leaf scans for this query; overrides the
     /// engine's [`crate::EngineConfig::tier`] when set. Every tier

@@ -1,18 +1,29 @@
-//! The persistent per-disk worker pool — the throughput backbone of
-//! [`ExecutionMode::Pooled`](crate::ExecutionMode::Pooled).
+//! The query state machine and its two drivers.
 //!
-//! One long-lived worker thread per disk, each owning that disk's subtree
-//! set: a worker only ever touches its own disk's primary tree and the
-//! mirror trees *hosted* on its disk. Workers are fed by per-disk
-//! `DiskQueue`s (bounded priority queues — FIFO by submission order
-//! until an [`crate::serve::AdmissionConfig`] asks for more); a query is
-//! one `QueryTask` that travels worker to worker along its execution
-//! itinerary (a **pipeline**, not a fan-out), carrying all of its mutable
-//! search state with it. Because the task hops disks in exactly the order
-//! the single-threaded reference search visits them, the pooled answer
-//! *and* trace are bit-identical to the deterministic forest search —
-//! while many queries pipeline through the disks concurrently with no
-//! per-query thread spawn and no per-batch barrier.
+//! A query is one `QueryTask`: its immutable inputs plus all of its
+//! mutable search state, advanced by `step` one disk at a time along
+//! its execution itinerary (a **pipeline**, not a fan-out). Because the
+//! task visits disks in exactly the order the single-threaded reference
+//! search does, every run of the same task yields the same answer *and*
+//! the same trace, whichever thread runs each step.
+//!
+//! Two drivers run tasks, chosen by
+//! [`ExecutionMode`](crate::ExecutionMode):
+//!
+//! - **Pooled:** the persistent per-disk `WorkerPool`. One long-lived
+//!   worker thread per disk, each owning that disk's subtree set: a
+//!   worker only ever touches its own disk's primary tree and the mirror
+//!   trees *hosted* on its disk. Workers are fed by per-disk `DiskQueue`s
+//!   (bounded priority queues — FIFO by submission order until an
+//!   [`crate::serve::AdmissionConfig`] asks for more), so many queries
+//!   pipeline through the disks concurrently with no per-query thread
+//!   spawn and no per-batch barrier.
+//! - **Scoped:** `run_inline` runs the same steps on the caller's
+//!   thread until the task completes — no queue, no coalescing wave, no
+//!   deadline shedding.
+//!
+//! Both drivers share the panic containment of `guarded_step`: a
+//! panicking step completes its query with [`EngineError::Internal`].
 //!
 //! Shutdown protocol: dropping the `WorkerPool` first **drains** — it
 //! waits until the in-flight counter hits zero, so no queued task can be
@@ -22,6 +33,7 @@
 //! so the drain always terminates: engine drop cannot deadlock even with
 //! queued queries.
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,9 +60,6 @@ pub(crate) struct QueryTask {
     pub(crate) query: Point,
     /// Result count.
     pub(crate) k: usize,
-    /// Leaf-scan precision tier (the RKV cursor and degraded state carry
-    /// their own copy; this one feeds the HS per-disk searches).
-    pub(crate) tier: ScanTier,
     /// Per-disk work counters, accumulated as the task hops.
     pub(crate) stats: Vec<SearchStats>,
     /// Submission instant (the trace's wall time spans queueing too).
@@ -60,11 +69,11 @@ pub(crate) struct QueryTask {
     /// Where the answer goes.
     pub(crate) completion: Arc<Completion>,
     /// Coalescing wave: queries sharing a wave id may share physical page
-    /// reads (unique per submission unless the query came in through
-    /// [`crate::ParallelKnnEngine::submit_wave`]).
+    /// reads (unique per pooled submission unless the query came in
+    /// through [`crate::ParallelKnnEngine::submit_wave`]; unused inline).
     pub(crate) wave: u64,
     /// Modeled service-time budget in µs; `None` disables deadline
-    /// shedding for this query.
+    /// shedding for this query. Only the pool sheds.
     pub(crate) deadline_micros: Option<u64>,
     /// Modeled service time the query has consumed over its hops so far,
     /// in µs — compared against the budget at every hop.
@@ -74,7 +83,7 @@ pub(crate) struct QueryTask {
     pub(crate) seq: u64,
 }
 
-/// The execution state machine of a pooled query.
+/// The execution state machine of a query.
 pub(crate) enum Stage {
     /// Healthy RKV: one [`ForestCursor`] walking the MINDIST itinerary —
     /// the deterministic forest search, pipelined across workers.
@@ -87,9 +96,11 @@ pub(crate) enum Stage {
         pos: usize,
     },
     /// Healthy HS: disk-by-disk best-first searches under one carried
-    /// pruning bound. Answers are exact; page traces are
-    /// execution-shaped (see [`crate::ParallelKnnEngine::submit`]).
+    /// pruning bound. Answers are exact; page traces follow this
+    /// disk-by-disk order, not the single-queue forest search.
     Hs {
+        /// Leaf-scan precision tier of the per-disk searches.
+        tier: ScanTier,
         /// The carried pruning bound, tightened at every disk.
         bound: SharedBound,
         /// Per-disk candidate lists, merged at the last disk.
@@ -97,8 +108,8 @@ pub(crate) enum Stage {
         /// Next disk.
         next: usize,
     },
-    /// Degraded execution: the same per-disk steps as the scoped
-    /// sequential loop, pipelined primaries-then-failover.
+    /// Degraded execution of either tier: primary steps, then the
+    /// failover stops planned from their outcome.
     Degraded {
         /// The shared degraded state machine.
         state: DegradedState,
@@ -108,9 +119,8 @@ pub(crate) enum Stage {
     /// Healthy approximate execution: the query's LSH probe plan,
     /// grouped by owning disk and visited in ascending disk order. Each
     /// stop scans its buckets and keeps the disk-local top-k; the last
-    /// stop merges with cross-disk deduplication. (Degraded approximate
-    /// queries run sequentially — failover needs the whole plan's
-    /// outcome, so there is nothing to pipeline.)
+    /// stop merges with cross-disk deduplication. Degraded approximate
+    /// queries run [`Stage::Degraded`] over the same plan.
     Approx {
         /// Probe targets grouped by owning disk, ascending.
         plan: Vec<DiskProbes>,
@@ -123,11 +133,24 @@ pub(crate) enum Stage {
     },
 }
 
-/// Progress marker of a degraded pooled query.
+impl Stage {
+    /// The disk of the task's first step (disk 0 when there is nothing
+    /// to search: the first step then completes the task).
+    fn first_disk(&self) -> usize {
+        match self {
+            Stage::Rkv { itinerary, .. } => itinerary.first().map_or(0, |&(_, d)| d),
+            Stage::Hs { .. } => 0,
+            Stage::Approx { plan, .. } => plan.first().map_or(0, |p| p.disk),
+            Stage::Degraded { state, .. } => state.primary_disk(0).unwrap_or(0),
+        }
+    }
+}
+
+/// Progress marker of a degraded query.
 pub(crate) enum Phase {
-    /// Primary searches, disk 0 through n-1 in order.
+    /// Primary steps, in [`DegradedState::primary_disk`] order.
     Primaries {
-        /// Next disk to run its primary step.
+        /// Next primary step.
         next: usize,
     },
     /// Failover stops planned by
@@ -197,26 +220,20 @@ pub struct PendingQuery {
 }
 
 impl PendingQuery {
-    pub(crate) fn new(completion: Arc<Completion>, trace: bool, model: DiskModel) -> Self {
+    /// A handle on `completion`, merging `overlay` (the query's delta
+    /// snapshot, see [`QueryOverlay`]) into the answer on wait.
+    pub(crate) fn new(
+        completion: Arc<Completion>,
+        trace: bool,
+        model: DiskModel,
+        overlay: Option<QueryOverlay>,
+    ) -> Self {
         PendingQuery {
             completion,
             trace,
             model,
-            overlay: None,
+            overlay,
         }
-    }
-
-    /// An already-answered handle (the scoped path computes eagerly).
-    pub(crate) fn completed(answer: TracedAnswer, trace: bool, model: DiskModel) -> Self {
-        let completion = Arc::new(Completion::new());
-        completion.complete(answer);
-        PendingQuery::new(completion, trace, model)
-    }
-
-    /// Attaches the query's delta snapshot (see [`QueryOverlay`]).
-    pub(crate) fn with_overlay(mut self, overlay: Option<QueryOverlay>) -> Self {
-        self.overlay = overlay;
-        self
     }
 
     /// True once the answer is available and [`PendingQuery::wait`] will
@@ -334,13 +351,14 @@ impl WorkerPool {
         self.wave.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Admits a task with worker `first` (its first itinerary stop), or
-    /// rejects it with [`EngineError::Overloaded`] when that disk's queue
-    /// is at capacity. The queue-depth gauge is raised before the push
-    /// and lowered by the receiving worker, so the gauges drain back to
-    /// zero exactly when the pool does (a rejected push lowers it again
+    /// Admits a task with the worker of its first step, or rejects it
+    /// with [`EngineError::Overloaded`] when that disk's queue is at
+    /// capacity. The queue-depth gauge is raised before the push and
+    /// lowered by the receiving worker, so the gauges drain back to zero
+    /// exactly when the pool does (a rejected push lowers it again
     /// itself).
-    pub(crate) fn submit(&self, first: usize, mut task: QueryTask) -> Result<(), EngineError> {
+    pub(crate) fn submit(&self, mut task: QueryTask) -> Result<(), EngineError> {
+        let first = task.stage.first_disk();
         task.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let budget = task.deadline_micros.unwrap_or(u64::MAX);
         let seq = task.seq;
@@ -380,11 +398,10 @@ impl Drop for WorkerPool {
 /// belongs to this disk, then either forward the task to the next disk's
 /// worker or complete it.
 ///
-/// A panic inside a step is contained: the query completes with
-/// [`EngineError::Internal`], leaves the in-flight count, and the worker
-/// keeps serving its queue, so neither the caller's
-/// [`PendingQuery::wait`] nor the engine's drain-then-stop shutdown can
-/// hang on it.
+/// A panicking step is contained by [`guarded_step`]: the worker keeps
+/// serving its queue and the query leaves the in-flight count, so neither
+/// the caller's [`PendingQuery::wait`] nor the engine's drain-then-stop
+/// shutdown can hang on it.
 fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflight: &Inflight) {
     while let Some(task) = queues[disk].pop() {
         if let Some(m) = &core.metrics {
@@ -408,9 +425,8 @@ fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflig
         }
         core.begin_wave(disk, task.wave);
         let pages_before = task.stats[disk].pages;
-        let completion = Arc::clone(&task.completion);
-        match panic::catch_unwind(AssertUnwindSafe(|| step(core, disk, task))) {
-            Ok(Outcome::Forward(next, mut task)) => {
+        match guarded_step(core, disk, task) {
+            Outcome::Forward(next, mut task) => {
                 let read = task.stats[disk].pages - pages_before;
                 task.spent_micros += core.array.model().service_time(read).as_micros() as u64;
                 if let Some(m) = &core.metrics {
@@ -420,27 +436,46 @@ fn worker_loop(disk: usize, core: &EngineCore, queues: &[Arc<DiskQueue>], inflig
                 let seq = task.seq;
                 queues[next].push_hop(budget, seq, task);
             }
-            Ok(Outcome::Done) => inflight.dec(),
-            Err(payload) => {
-                let cause = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                // Record before delivery, like every other answer point.
-                if let Some(m) = &core.metrics {
-                    m.record_failure();
-                }
-                completion.complete(Err(EngineError::Internal(format!(
-                    "disk {disk} worker panicked: {cause}"
-                ))));
-                inflight.dec();
-            }
+            Outcome::Done => inflight.dec(),
         }
     }
 }
 
-/// Result of running a task's local steps on one worker.
+/// The inline driver: runs `task` to completion on the caller's thread,
+/// stepping it disk to disk exactly as the pool's workers would, under
+/// the same panic containment. It never sheds on a deadline.
+pub(crate) fn run_inline(core: &EngineCore, task: QueryTask) {
+    let mut disk = task.stage.first_disk();
+    let mut task = Box::new(task);
+    while let Outcome::Forward(next, forwarded) = guarded_step(core, disk, task) {
+        disk = next;
+        task = forwarded;
+    }
+}
+
+/// Runs [`step`] under `catch_unwind`: a panic completes the query with
+/// [`EngineError::Internal`] and counts it as a failure, so the caller's
+/// [`PendingQuery::wait`] never hangs on it.
+fn guarded_step(core: &EngineCore, disk: usize, task: Box<QueryTask>) -> Outcome {
+    let completion = Arc::clone(&task.completion);
+    panic::catch_unwind(AssertUnwindSafe(|| step(core, disk, task))).unwrap_or_else(|payload| {
+        let cause = panic_message(payload.as_ref());
+        let error = EngineError::Internal(format!("query step on disk {disk} panicked: {cause}"));
+        deliver(core, &completion, Err(error));
+        Outcome::Done
+    })
+}
+
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Result of running a task's local steps on one disk.
 enum Outcome {
     /// The task's next step belongs to another disk.
     Forward(usize, Box<QueryTask>),
@@ -478,6 +513,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
             }
         }
         Stage::Hs {
+            tier,
             ref bound,
             ref mut candidates,
             ref mut next,
@@ -487,7 +523,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                     forward = Some(*next);
                     break;
                 }
-                let (cands, s) = core.hs_visit(disk, &task.query, task.k, bound, task.tier);
+                let (cands, s) = core.hs_visit(disk, &task.query, task.k, bound, tier);
                 task.stats[disk].merge(s);
                 candidates[disk] = cands;
                 *next += 1;
@@ -505,8 +541,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                     forward = Some(entry.disk);
                     break;
                 }
-                let lsh = core.lsh.as_ref().expect("Approx stage needs the LSH tier");
-                candidates[disk] = lsh.scan_disk(
+                candidates[disk] = core.lsh().scan_disk(
                     disk,
                     &entry.buckets,
                     &task.query,
@@ -523,13 +558,13 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
         } => loop {
             match phase {
                 Phase::Primaries { next } => {
-                    if *next >= core.trees.len() {
+                    let Some(primary) = state.primary_disk(*next) else {
                         core.plan_failover(state);
                         *phase = Phase::Failover { pos: 0 };
                         continue;
-                    }
-                    if *next != disk {
-                        forward = Some(*next);
+                    };
+                    if primary != disk {
+                        forward = Some(primary);
                         break;
                     }
                     core.degraded_primary(disk, &task.query, task.k, state, &mut task.stats);
@@ -557,12 +592,7 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
         },
     }
     if let Some(e) = error {
-        // Record before delivery so a snapshot taken after `wait` returns
-        // always sees this query.
-        if let Some(m) = &core.metrics {
-            m.record_failure();
-        }
-        task.completion.complete(Err(e));
+        deliver(core, &task.completion, Err(e));
         return Outcome::Done;
     }
     if let Some(next) = forward {
@@ -602,15 +632,18 @@ fn complete(core: &EngineCore, task: QueryTask) {
         } => {
             let merged = merge_unique_candidates(candidates.iter().map(Vec::as_slice), k);
             let mut trace = QueryTrace::from_stats(&stats, wall, core.array.model());
-            trace.lsh_probes = counters.probes;
-            trace.lsh_candidates = counters.candidates;
-            trace.lsh_empty_probes = counters.empty_probes;
+            counters.fold_into(&mut trace);
             Ok((merged, trace))
         }
         Stage::Degraded { state, .. } => core.assemble_degraded(state, k, &stats, wall),
     };
-    // Record before delivery so a snapshot taken after `wait` returns
-    // always sees this query.
+    deliver(core, &completion, answer);
+}
+
+/// Records a finished query in the metrics registry, then hands its
+/// answer to the waiter. Recording first means a snapshot taken after
+/// `wait` returns always sees this query.
+pub(crate) fn deliver(core: &EngineCore, completion: &Completion, answer: TracedAnswer) {
     if let Some(m) = &core.metrics {
         match &answer {
             Ok((_, trace)) => m.record_query(trace, core.array.model()),

@@ -13,11 +13,30 @@ use proptest::prelude::*;
 use parsim_datagen::{DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
 use parsim_index::knn::Neighbor;
-use parsim_parallel::{EngineError, ParallelKnnEngine, QueryOptions, RetryPolicy};
+use parsim_parallel::{EngineError, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy};
 
 const DIM: usize = 6;
 const DISKS: usize = 10; // colors_required(6) == 8, so disks 8 and 9 are mirror spares
 const K: usize = 10;
+
+/// One traced query: its neighbors and its trace.
+fn traced(e: &ParallelKnnEngine, q: &Point, k: usize) -> (Vec<Neighbor>, QueryTrace) {
+    let r = e.query(q, &QueryOptions::traced(k)).unwrap();
+    (r.neighbors, r.trace.expect("trace was requested"))
+}
+
+/// `query_batch` under `opts`, unpacked into `(neighbors, trace)` pairs.
+fn traced_batch(
+    e: &ParallelKnnEngine,
+    queries: &[Point],
+    opts: QueryOptions,
+) -> Vec<(Vec<Neighbor>, QueryTrace)> {
+    e.query_batch(queries, &opts)
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.neighbors, r.trace.expect("trace was requested")))
+        .collect()
+}
 
 struct Setup {
     /// Replicated engine (one mirror per bucket).
@@ -111,7 +130,7 @@ proptest! {
         } else {
             s.repl.faults().slow(disk, 8.0);
         }
-        let (got, trace) = s.repl.knn_traced(&s.queries[qi], K).unwrap();
+        let (got, trace) = traced(&s.repl, &s.queries[qi], K);
         s.repl.faults().heal_all();
         prop_assert_eq!(&got, &s.healthy[qi]);
         prop_assert!(trace.degraded.is_some());
@@ -125,7 +144,7 @@ fn two_failures_sharing_no_bucket_still_succeed() {
     s.repl.faults().fail(d);
     s.repl.faults().fail(f);
     for (q, want) in s.queries.iter().zip(&s.healthy) {
-        let (got, trace) = s.repl.knn_traced(q, K).unwrap();
+        let (got, trace) = traced(&s.repl, q, K);
         assert_eq!(&got, want);
         let deg = trace.degraded.expect("degraded record present");
         // Only disks that actually held data fail over.
@@ -170,7 +189,7 @@ fn trace_reports_the_failover() {
     let (s, _guard) = setup();
     let d = disk_with_data(&s.repl);
     s.repl.faults().fail(d);
-    let (got, trace) = s.repl.knn_traced(&s.queries[1], K).unwrap();
+    let (got, trace) = traced(&s.repl, &s.queries[1], K);
     s.repl.faults().heal_all();
     assert_eq!(&got, &s.healthy[1]);
     let deg = trace.degraded.expect("degraded record present");
@@ -179,17 +198,17 @@ fn trace_reports_the_failover() {
     // The failed disk itself served nothing.
     assert_eq!(trace.per_disk_pages[d], 0);
     // A healthy run carries no degraded record.
-    let (_, healthy_trace) = s.repl.knn_traced(&s.queries[1], K).unwrap();
+    let (_, healthy_trace) = traced(&s.repl, &s.queries[1], K);
     assert!(healthy_trace.degraded.is_none());
 }
 
 #[test]
 fn slow_disk_stretches_the_modeled_critical_path() {
     let (s, _guard) = setup();
-    let (_, healthy_trace) = s.repl.knn_traced(&s.queries[2], K).unwrap();
+    let (_, healthy_trace) = traced(&s.repl, &s.queries[2], K);
     let d = disk_with_data(&s.repl);
     s.repl.faults().slow(d, 50.0);
-    let (got, trace) = s.repl.knn_traced(&s.queries[2], K).unwrap();
+    let (got, trace) = traced(&s.repl, &s.queries[2], K);
     s.repl.faults().heal_all();
     assert_eq!(&got, &s.healthy[2]);
     let deg = trace.degraded.expect("degraded record present");
@@ -271,8 +290,8 @@ fn legacy_entry_points_ride_the_same_degraded_path() {
     let d = disk_with_data(&s.repl);
     s.repl.faults().fail(d);
     let (a, _) = s.repl.knn(&s.queries[5], K).unwrap();
-    let (b, trace) = s.repl.knn_traced(&s.queries[5], K).unwrap();
-    let batch = s.repl.knn_batch(&s.queries[5..6], K).unwrap();
+    let (b, trace) = traced(&s.repl, &s.queries[5], K);
+    let batch = traced_batch(&s.repl, &s.queries[5..6], QueryOptions::traced(K));
     s.repl.faults().heal_all();
     assert_eq!(&a, &s.healthy[5]);
     assert_eq!(&b, &s.healthy[5]);

@@ -16,13 +16,19 @@ use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator};
 use parsim_geometry::Point;
 use parsim_obs::RegistrySnapshot;
 use parsim_parallel::{
-    ExecutionMode, FaultPolicy, ParallelKnnEngine, QueryTrace, RetryPolicy, ScanTier,
+    ExecutionMode, FaultPolicy, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy, ScanTier,
 };
 
 const DIM: usize = 6;
 const DISKS: usize = 8;
 const SHARDS: usize = 4;
 const K: usize = 10;
+
+/// One traced query's trace.
+fn traced(e: &ParallelKnnEngine, q: &Point) -> QueryTrace {
+    let r = e.query(q, &QueryOptions::traced(K)).unwrap();
+    r.trace.expect("trace was requested")
+}
 
 fn clustered_points() -> Vec<Point> {
     ClusteredGenerator::new(DIM, 8, 0.05).generate(2500, 7)
@@ -157,10 +163,7 @@ fn assert_parity(s: &RegistrySnapshot, traces: &[QueryTrace], want: &TraceTotals
 
 fn run_and_check(points: &[Point], queries: &[Point], execution: ExecutionMode) {
     let engine = engine(points, execution, 0);
-    let traces: Vec<QueryTrace> = queries
-        .iter()
-        .map(|q| engine.knn_traced(q, K).unwrap().1)
-        .collect();
+    let traces: Vec<QueryTrace> = queries.iter().map(|q| traced(&engine, q)).collect();
     let snapshot = engine.metrics().expect("metrics enabled").snapshot();
     assert_parity(&snapshot, &traces, &sum_traces(&traces));
 }
@@ -210,10 +213,10 @@ fn batch_paths_keep_parity() {
     for execution in [ExecutionMode::Scoped, ExecutionMode::Pooled] {
         let engine = engine(&points, execution, 0);
         let traces: Vec<QueryTrace> = engine
-            .knn_batch(&queries, K)
+            .query_batch(&queries, &QueryOptions::traced(K))
             .unwrap()
             .into_iter()
-            .map(|(_, t)| t)
+            .map(|r| r.trace.expect("trace was requested"))
             .collect();
         let snapshot = engine.metrics().unwrap().snapshot();
         assert_parity(&snapshot, &traces, &sum_traces(&traces));
@@ -237,10 +240,7 @@ fn tiered_workload_keeps_parity() {
             .metrics(true)
             .build(&points)
             .unwrap();
-        let traces: Vec<QueryTrace> = queries
-            .iter()
-            .map(|q| engine.knn_traced(q, K).unwrap().1)
-            .collect();
+        let traces: Vec<QueryTrace> = queries.iter().map(|q| traced(&engine, q)).collect();
         let want = sum_traces(&traces);
         assert!(want.lb_evals > 0, "phase 1 never ran ({execution:?})");
         let snapshot = engine.metrics().unwrap().snapshot();
@@ -286,10 +286,7 @@ fn degraded_workload_keeps_parity_in_both_modes() {
         engine.faults().fail(loaded[0]);
         engine.faults().seed(loaded[1], 4242);
         engine.faults().flaky(loaded[1], 0.2);
-        let traces: Vec<QueryTrace> = queries
-            .iter()
-            .map(|q| engine.knn_traced(q, K).unwrap().1)
-            .collect();
+        let traces: Vec<QueryTrace> = queries.iter().map(|q| traced(&engine, q)).collect();
         let want = sum_traces(&traces);
         assert_eq!(want.degraded, queries.len() as u64, "all queries degraded");
         assert!(want.replica_pages > 0, "failover actually happened");
@@ -327,19 +324,13 @@ fn registry_survives_reorganize_with_exact_parity() {
         // The handle taken *before* the swap must stay live and shared.
         let handle = std::sync::Arc::clone(engine.metrics().unwrap());
 
-        let mut traces: Vec<QueryTrace> = queries[..12]
-            .iter()
-            .map(|q| engine.knn_traced(q, K).unwrap().1)
-            .collect();
+        let mut traces: Vec<QueryTrace> =
+            queries[..12].iter().map(|q| traced(&engine, q)).collect();
         for p in ClusteredGenerator::new(DIM, 8, 0.05).generate(60, 77) {
             engine.insert(p).unwrap();
         }
         engine.reorganize().unwrap();
-        traces.extend(
-            queries[12..]
-                .iter()
-                .map(|q| engine.knn_traced(q, K).unwrap().1),
-        );
+        traces.extend(queries[12..].iter().map(|q| traced(&engine, q)));
 
         let s = engine.metrics().unwrap().snapshot();
         assert_parity(&s, &traces, &sum_traces(&traces));
@@ -371,11 +362,12 @@ fn exports_are_byte_identical_across_runs() {
             let engine = engine(&points, execution, 0);
             match execution {
                 ExecutionMode::Scoped => {
-                    engine.knn_batch_with(&queries, K, 1).unwrap();
+                    let opts = QueryOptions::traced(K).with_workers(1);
+                    engine.query_batch(&queries, &opts).unwrap();
                 }
                 ExecutionMode::Pooled => {
                     for q in &queries {
-                        engine.knn_traced(q, K).unwrap();
+                        traced(&engine, q);
                     }
                 }
             }

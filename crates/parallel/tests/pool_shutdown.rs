@@ -3,13 +3,22 @@
 //! queued — and degraded execution must behave identically on the pooled
 //! and scoped backbones.
 
-use parsim_datagen::{DataGenerator, UniformGenerator};
+use parsim_datagen::{ClusteredGenerator, DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
-use parsim_parallel::{ExecutionMode, ParallelKnnEngine, PendingQuery, QueryOptions};
+use parsim_index::knn::Neighbor;
+use parsim_parallel::{
+    ExecutionMode, LshConfig, ParallelKnnEngine, PendingQuery, QueryOptions, QueryTrace,
+};
 
 const DIM: usize = 6;
 const DISKS: usize = 10; // colors_required(6) == 8: disks 8 and 9 are mirror spares
 const K: usize = 10;
+
+/// One traced query: its neighbors and its trace.
+fn traced(e: &ParallelKnnEngine, q: &Point, k: usize) -> (Vec<Neighbor>, QueryTrace) {
+    let r = e.query(q, &QueryOptions::traced(k)).unwrap();
+    (r.neighbors, r.trace.expect("trace was requested"))
+}
 
 fn points() -> Vec<Point> {
     UniformGenerator::new(DIM).generate(3000, 7)
@@ -119,8 +128,8 @@ fn pooled_degraded_failover_matches_scoped() {
     scoped.faults().fail(failed);
     pooled.faults().fail(failed);
     for q in &queries {
-        let (sres, strace) = scoped.knn_traced(q, K).unwrap();
-        let (pres, ptrace) = pooled.knn_traced(q, K).unwrap();
+        let (sres, strace) = traced(&scoped, q, K);
+        let (pres, ptrace) = traced(&pooled, q, K);
         assert_eq!(pres, sres);
         assert_eq!(ptrace.per_disk_pages, strace.per_disk_pages);
         let sdeg = strace.degraded.expect("scoped degraded record");
@@ -150,8 +159,8 @@ fn pooled_degraded_retries_match_scoped() {
         engine.faults().flaky(flaky, 0.3);
     }
     for q in &queries {
-        let (sres, strace) = scoped.knn_traced(q, K).unwrap();
-        let (pres, ptrace) = pooled.knn_traced(q, K).unwrap();
+        let (sres, strace) = traced(&scoped, q, K);
+        let (pres, ptrace) = traced(&pooled, q, K);
         assert_eq!(pres, sres);
         assert_eq!(ptrace.per_disk_pages, strace.per_disk_pages);
         let sdeg = strace.degraded.expect("scoped degraded record");
@@ -226,5 +235,61 @@ fn pooled_errors_propagate_and_do_not_wedge_shutdown() {
             err,
             parsim_parallel::EngineError::BucketUnavailable { disk: failed }
         );
+    }
+}
+
+/// Approximate failover parity: with one mirror per LSH shard, a failed
+/// disk's probe targets are served from its mirror, so the degraded
+/// approx answer equals the healthy one as `(item, dist-bits)` on both
+/// backbones, and the scoped and pooled traces agree on pages, LSH
+/// candidates, and the failover record.
+#[test]
+fn approx_failover_matches_healthy_on_both_backbones() {
+    const APPROX_DIM: usize = 16;
+    let generator = ClusteredGenerator::new(APPROX_DIM, 8, 0.05);
+    let pts = generator.generate(6000, 7);
+    let queries = generator.generate(30, 8);
+    let build = |execution| {
+        ParallelKnnEngine::builder(APPROX_DIM)
+            .disks(8)
+            .replicas(1)
+            .approx(LshConfig::new(5))
+            .execution(execution)
+            .build(&pts)
+            .unwrap()
+    };
+    let scoped = build(ExecutionMode::Scoped);
+    let pooled = build(ExecutionMode::Pooled);
+    let opts = QueryOptions::approx(K, 2).with_trace(true);
+    let answer = |e: &ParallelKnnEngine, q: &Point| -> (Vec<(u64, u64)>, QueryTrace) {
+        let r = e.query(q, &opts).unwrap();
+        let ids = r
+            .neighbors
+            .iter()
+            .map(|n| (n.item, n.dist.to_bits()))
+            .collect();
+        (ids, r.trace.expect("trace was requested"))
+    };
+    let healthy: Vec<_> = queries.iter().map(|q| answer(&scoped, q).0).collect();
+    for failed in [0, 3] {
+        let mut engaged = 0;
+        for e in [&scoped, &pooled] {
+            e.faults().heal_all();
+            e.faults().fail(failed);
+        }
+        for (qi, (q, want)) in queries.iter().zip(&healthy).enumerate() {
+            let (s, strace) = answer(&scoped, q);
+            let (p, ptrace) = answer(&pooled, q);
+            assert_eq!(&s, want, "scoped, disk {failed} failed, q{qi}");
+            assert_eq!(&p, want, "pooled, disk {failed} failed, q{qi}");
+            assert_eq!(ptrace.per_disk_pages, strace.per_disk_pages, "q{qi}");
+            assert_eq!(ptrace.lsh_candidates, strace.lsh_candidates, "q{qi}");
+            let sdeg = strace.degraded.expect("scoped degraded record");
+            let pdeg = ptrace.degraded.expect("pooled degraded record");
+            assert_eq!(pdeg.failed_over, sdeg.failed_over, "q{qi}");
+            assert_eq!(pdeg.replica_pages, sdeg.replica_pages, "q{qi}");
+            engaged += usize::from(!sdeg.failed_over.is_empty());
+        }
+        assert!(engaged > 0, "disk {failed} never failed over");
     }
 }

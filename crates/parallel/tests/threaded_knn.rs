@@ -1,8 +1,8 @@
 //! End-to-end tests of the threaded query paths.
 //!
 //! The per-disk parallel search ([`ParallelKnnEngine::knn`] /
-//! [`ParallelKnnEngine::knn_traced`]) and the batched worker pool
-//! ([`ParallelKnnEngine::knn_batch_with`]) must return exactly the answers
+//! [`ParallelKnnEngine::query`]) and the batched worker pool
+//! ([`ParallelKnnEngine::query_batch`]) must return exactly the answers
 //! of the single-disk [`SequentialEngine`] under any worker count, and the
 //! per-query traces must account for every page the shared disks served —
 //! even while many queries run concurrently.
@@ -12,11 +12,31 @@ use parsim_geometry::Point;
 use parsim_index::knn::{brute_force_knn, Neighbor};
 use parsim_index::KnnAlgorithm;
 use parsim_parallel::{
-    EngineConfig, ExecutionMode, ParallelKnnEngine, QueryOptions, ScanTier, SequentialEngine,
+    EngineConfig, ExecutionMode, LshConfig, ParallelKnnEngine, QueryOptions, QueryResult,
+    QueryTrace, ScanTier, SequentialEngine,
 };
 
 const DIM: usize = 8;
 const DISKS: usize = 8;
+
+/// One traced query: its neighbors and its trace.
+fn traced(e: &ParallelKnnEngine, q: &Point, k: usize) -> (Vec<Neighbor>, QueryTrace) {
+    let r = e.query(q, &QueryOptions::traced(k)).unwrap();
+    (r.neighbors, r.trace.expect("trace was requested"))
+}
+
+/// `query_batch` under `opts`, unpacked into `(neighbors, trace)` pairs.
+fn traced_batch(
+    e: &ParallelKnnEngine,
+    queries: &[Point],
+    opts: QueryOptions,
+) -> Vec<(Vec<Neighbor>, QueryTrace)> {
+    e.query_batch(queries, &opts)
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.neighbors, r.trace.expect("trace was requested")))
+        .collect()
+}
 
 fn setup(algorithm: KnnAlgorithm) -> (ParallelKnnEngine, SequentialEngine, Vec<Point>) {
     let pts = UniformGenerator::new(DIM).generate(4000, 21);
@@ -71,7 +91,11 @@ fn batch_matches_sequential_under_1_2_8_workers() {
     let (par, seq, queries) = setup(KnnAlgorithm::Rkv);
     let want: Vec<Vec<Neighbor>> = queries.iter().map(|q| seq.knn(q, 10).unwrap().0).collect();
     for workers in [1, 2, 8] {
-        let got = par.knn_batch_with(&queries, 10, workers).unwrap();
+        let got = traced_batch(
+            &par,
+            &queries,
+            QueryOptions::traced(10).with_workers(workers),
+        );
         assert_eq!(got.len(), queries.len());
         for ((g, _), w) in got.iter().zip(&want) {
             assert_same_answers(g, w);
@@ -85,9 +109,13 @@ fn batch_traces_are_identical_across_worker_counts() {
     // deterministic forest search, so worker interleaving must not change
     // a single counter.
     let (par, _, queries) = setup(KnnAlgorithm::Rkv);
-    let baseline = par.knn_batch_with(&queries, 10, 1).unwrap();
+    let baseline = traced_batch(&par, &queries, QueryOptions::traced(10).with_workers(1));
     for workers in [2, 8] {
-        let got = par.knn_batch_with(&queries, 10, workers).unwrap();
+        let got = traced_batch(
+            &par,
+            &queries,
+            QueryOptions::traced(10).with_workers(workers),
+        );
         for ((_, g), (_, b)) in got.iter().zip(&baseline) {
             assert_eq!(g.per_disk_pages, b.per_disk_pages);
             assert_eq!(g.candidates_pruned, b.candidates_pruned);
@@ -102,7 +130,7 @@ fn batch_traces_account_for_every_page_served() {
     // is lost or double-counted under contention.
     let (par, _, queries) = setup(KnnAlgorithm::Rkv);
     let scope = par.array().begin_query();
-    let results = par.knn_batch_with(&queries, 10, 8).unwrap();
+    let results = traced_batch(&par, &queries, QueryOptions::traced(10).with_workers(8));
     let cost = scope.finish(&par.array());
 
     let mut summed = vec![0u64; DISKS];
@@ -123,7 +151,7 @@ fn threaded_traces_account_for_every_page_served() {
     let scope = par.array().begin_query();
     let mut summed = vec![0u64; DISKS];
     for q in &queries {
-        let (_, trace) = par.knn_traced(q, 10).unwrap();
+        let (_, trace) = traced(&par, q, 10);
         assert_eq!(trace.per_disk_pages.len(), DISKS);
         assert!(trace.total_pages() > 0);
         for (acc, p) in summed.iter_mut().zip(&trace.per_disk_pages) {
@@ -143,7 +171,7 @@ fn shared_bound_prunes_work() {
     let mut independent = 0u64;
     let mut pruned = 0u64;
     for q in &queries {
-        let (_, trace) = par.knn_traced(q, 10).unwrap();
+        let (_, trace) = traced(&par, q, 10);
         bounded += trace.total_pages();
         pruned += trace.candidates_pruned;
         let (_, cost) = par.knn_independent(q, 10).unwrap();
@@ -166,9 +194,9 @@ fn cached_engine_reports_cache_hits() {
         .unwrap();
     let q = &UniformGenerator::new(DIM).generate(1, 9)[0];
 
-    let (_, cold) = par.knn_traced(q, 10).unwrap();
+    let (_, cold) = traced(&par, q, 10);
     assert_eq!(cold.cache_hits, 0, "first query cannot hit an empty cache");
-    let (_, warm) = par.knn_traced(q, 10).unwrap();
+    let (_, warm) = traced(&par, q, 10);
     // Identical query, ample cache: the repeat is (at least partly —
     // thread interleaving may shift the visited set slightly) served from
     // memory. Every tree re-reads its root, so hits are guaranteed.
@@ -201,7 +229,7 @@ fn clustered_knn_is_bit_identical_and_abandons_distances() {
     let mut evals = 0u64;
     let mut saved = 0u64;
     for q in &queries {
-        let (got, trace) = par.knn_traced(q, 10).unwrap();
+        let (got, trace) = traced(&par, q, 10);
         let (want, _) = seq.knn(q, 10).unwrap();
         let brute = brute_force_knn(&data, q, 10);
         assert_eq!(got.len(), 10);
@@ -259,13 +287,13 @@ fn check_pooled_bit_identity(pts: &[Point], queries: &[Point]) {
         .map(|(i, p)| (p.clone(), i as u64))
         .collect();
 
-    let scoped_batch = scoped.knn_batch(queries, 10).unwrap();
-    let pooled_batch = pooled.knn_batch(queries, 10).unwrap();
+    let scoped_batch = traced_batch(&scoped, queries, QueryOptions::traced(10));
+    let pooled_batch = traced_batch(&pooled, queries, QueryOptions::traced(10));
     for (qi, q) in queries.iter().enumerate() {
         let (sres, strace) = &scoped_batch[qi];
         let (pres, ptrace) = &pooled_batch[qi];
         // Single pooled queries go through the same pipeline as batches.
-        let (single, single_trace) = pooled.knn_traced(q, 10).unwrap();
+        let (single, single_trace) = traced(&pooled, q, 10);
         let (seq_res, _) = seq.knn(q, 10).unwrap();
         let brute = brute_force_knn(&data, q, 10);
 
@@ -330,8 +358,11 @@ fn pooled_execution_is_bit_identical_on_correlated_data() {
 #[test]
 fn pooled_hs_answers_match_scoped() {
     // HS pipelines disk-by-disk under a carried bound: answers must be
-    // identical to the scoped engine and brute force (traces are
-    // execution-shaped and not compared).
+    // identical to the scoped engine and brute force. Traces are not
+    // compared here: a scoped single query runs the per-disk fan-out,
+    // whose threads race on the shared bound. Batches run the same task
+    // on both backbones, so their traces are compared in
+    // `scoped_and_pooled_batches_agree_on_answers_and_traces`.
     let pts = UniformGenerator::new(DIM).generate(4000, 23);
     let (scoped, pooled) = engine_pair(&pts, KnnAlgorithm::Hs);
     let data: Vec<(Point, u64)> = pts
@@ -359,12 +390,12 @@ fn pooled_batch_pipelines_without_reordering_results() {
     let (_, pooled) = engine_pair(&pts, KnnAlgorithm::Rkv);
     let queries = UniformGenerator::new(DIM).generate(32, 80);
     let scope = pooled.array().begin_query();
-    let results = pooled.knn_batch(&queries, 5).unwrap();
+    let results = traced_batch(&pooled, &queries, QueryOptions::traced(5));
     let cost = scope.finish(&pooled.array());
     assert_eq!(results.len(), queries.len());
     let mut summed = vec![0u64; DISKS];
     for (i, (res, trace)) in results.iter().enumerate() {
-        let (want, _) = pooled.knn_traced(&queries[i], 5).unwrap();
+        let (want, _) = traced(&pooled, &queries[i], 5);
         assert_same_answers(res, &want);
         for (acc, p) in summed.iter_mut().zip(&trace.per_disk_pages) {
             *acc += p;
@@ -401,7 +432,7 @@ fn tiered_engines_are_bit_identical_to_brute_force() {
     let mut lb = 0u64;
     let mut rerank = 0u64;
     for q in &queries {
-        let (want, _) = base.knn_traced(q, 10).unwrap();
+        let (want, _) = traced(&base, q, 10);
         let got = tiered.query(q, &QueryOptions::traced(10)).unwrap();
         // Per-query override on the f64-default engine takes the same
         // tiered path.
@@ -462,10 +493,17 @@ fn tiered_degraded_queries_stay_exact() {
 fn batch_handles_edge_cases() {
     let (par, _, queries) = setup(KnnAlgorithm::Rkv);
     // Empty batch.
-    assert!(par.knn_batch_with(&[], 10, 4).unwrap().is_empty());
+    assert!(par
+        .query_batch(&[], &QueryOptions::traced(10).with_workers(4))
+        .unwrap()
+        .is_empty());
     // More workers than queries, and a zero worker count (clamped to 1).
     for workers in [64, 0] {
-        let got = par.knn_batch_with(&queries[..2], 3, workers).unwrap();
+        let got = traced_batch(
+            &par,
+            &queries[..2],
+            QueryOptions::traced(3).with_workers(workers),
+        );
         assert_eq!(got.len(), 2);
         for (res, trace) in &got {
             assert_eq!(res.len(), 3);
@@ -474,5 +512,107 @@ fn batch_handles_edge_cases() {
     }
     // Dimension mismatch is rejected.
     let wrong = Point::new(vec![0.5; DIM + 1]).unwrap();
-    assert!(par.knn_batch_with(&[wrong], 1, 2).is_err());
+    assert!(par
+        .query_batch(&[wrong], &QueryOptions::traced(1).with_workers(2))
+        .is_err());
+}
+
+/// Scoped and pooled engines over the same points, replicated and with
+/// the LSH tier, so one pair serves exact, approximate, and failed-disk
+/// batches.
+fn replicated_pair(
+    pts: &[Point],
+    algorithm: KnnAlgorithm,
+) -> (ParallelKnnEngine, ParallelKnnEngine) {
+    let mut config = EngineConfig::paper_defaults(DIM);
+    config.algorithm = algorithm;
+    let build = |execution| {
+        ParallelKnnEngine::builder(DIM)
+            .config(config)
+            .disks(DISKS)
+            .replicas(1)
+            .approx(LshConfig::new(3))
+            .execution(execution)
+            .build(pts)
+            .unwrap()
+    };
+    (build(ExecutionMode::Scoped), build(ExecutionMode::Pooled))
+}
+
+/// Runs `opts` as a traced batch on both engines at 1 and 2 workers and
+/// requires identical `(item, dist-bits)` answers and identical work
+/// traces, query by query.
+fn assert_same_batches(
+    scoped: &ParallelKnnEngine,
+    pooled: &ParallelKnnEngine,
+    queries: &[Point],
+    opts: QueryOptions,
+    label: &str,
+) {
+    let bits = |r: &QueryResult| -> Vec<(u64, u64)> {
+        r.neighbors
+            .iter()
+            .map(|n| (n.item, n.dist.to_bits()))
+            .collect()
+    };
+    for workers in [1, 2] {
+        let opts = opts.with_trace(true).with_workers(workers);
+        let s = scoped.query_batch(queries, &opts).unwrap();
+        let p = pooled.query_batch(queries, &opts).unwrap();
+        assert_eq!(s.len(), p.len());
+        for (qi, (s, p)) in s.iter().zip(&p).enumerate() {
+            let at = format!("{label}, {workers} workers, q{qi}");
+            assert_eq!(bits(s), bits(p), "answers: {at}");
+            let (st, pt) = (s.trace.as_ref().unwrap(), p.trace.as_ref().unwrap());
+            assert_eq!(st.per_disk_pages, pt.per_disk_pages, "pages: {at}");
+            assert_eq!(st.dist_evals, pt.dist_evals, "dist_evals: {at}");
+            assert_eq!(st.candidates_pruned, pt.candidates_pruned, "pruned: {at}");
+            assert_eq!(st.lsh_probes, pt.lsh_probes, "lsh_probes: {at}");
+            assert_eq!(st.lsh_candidates, pt.lsh_candidates, "lsh_candidates: {at}");
+            assert_eq!(
+                st.lsh_empty_probes, pt.lsh_empty_probes,
+                "empty probes: {at}"
+            );
+            let failover = |t: &QueryTrace| {
+                t.degraded
+                    .as_ref()
+                    .map(|d| (d.failed_over.clone(), d.replica_pages))
+            };
+            assert_eq!(failover(st), failover(pt), "degraded record: {at}");
+        }
+    }
+}
+
+#[test]
+fn scoped_and_pooled_batches_agree_on_answers_and_traces() {
+    // Both backbones run the same query task, so a batch returns the same
+    // answers and the same traces on either: RKV, HS, approximate, and
+    // with a failed disk served from the replicas.
+    let generator = ClusteredGenerator::new(DIM, 8, 0.03);
+    let pts = generator.generate(3000, 41);
+    let queries = generator.generate(16, 85);
+    for algorithm in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
+        let (scoped, pooled) = replicated_pair(&pts, algorithm);
+        let exact = QueryOptions::new(10);
+        let approx = QueryOptions::approx(10, 2);
+        assert_same_batches(&scoped, &pooled, &queries, exact, &format!("{algorithm:?}"));
+        assert_same_batches(&scoped, &pooled, &queries, approx, "approx");
+        let failed = scoped
+            .load_distribution()
+            .iter()
+            .position(|&l| l > 0)
+            .expect("some disk holds data");
+        for e in [&scoped, &pooled] {
+            e.faults().fail(failed);
+        }
+        let label = format!("{algorithm:?}, disk {failed} failed");
+        assert_same_batches(&scoped, &pooled, &queries, exact, &label);
+        assert_same_batches(
+            &scoped,
+            &pooled,
+            &queries,
+            approx,
+            &format!("approx, {label}"),
+        );
+    }
 }

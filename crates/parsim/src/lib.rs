@@ -37,8 +37,9 @@
 //!
 //! [`ParallelKnnEngine::knn`](parallel::ParallelKnnEngine::knn) runs one
 //! thread per disk (the paper's Var. 3 shared-bound search);
-//! [`ParallelKnnEngine::knn_batch`](parallel::ParallelKnnEngine::knn_batch)
-//! answers a whole workload on a bounded worker pool. Both report a
+//! [`ParallelKnnEngine::query_batch`](parallel::ParallelKnnEngine::query_batch)
+//! answers a whole workload on a bounded worker pool. Under
+//! [`QueryOptions::traced`](parallel::QueryOptions::traced) both report a
 //! [`QueryTrace`](parallel::QueryTrace) with per-disk page counts, pruning and cache counters,
 //! and measured wall-clock next to modeled service time:
 //!
@@ -49,10 +50,12 @@
 //! let engine = ParallelKnnEngine::builder(8).disks(8).build(&data).unwrap();
 //!
 //! let queries = UniformGenerator::new(8).generate(16, 7);
-//! let results = engine.knn_batch_with(&queries, 10, 4).unwrap();
+//! let opts = QueryOptions::traced(10).with_workers(4);
+//! let results = engine.query_batch(&queries, &opts).unwrap();
 //! assert_eq!(results.len(), queries.len());
 //!
-//! let (neighbors, trace): &(Vec<Neighbor>, QueryTrace) = &results[0];
+//! let neighbors: &Vec<Neighbor> = &results[0].neighbors;
+//! let trace: &QueryTrace = results[0].trace.as_ref().unwrap();
 //! assert_eq!(neighbors.len(), 10);
 //! assert_eq!(trace.per_disk_pages.len(), engine.disks());
 //! assert!(trace.total_pages() >= trace.max_pages());
@@ -101,9 +104,8 @@ pub mod prelude {
     };
     pub use parsim_geometry::{Euclidean, HyperRect, Metric, Point, QuadrantSplitter};
     pub use parsim_index::{
-        forest_knn, forest_knn_traced, forest_knn_traced_tiered, CachingSink, KnnAlgorithm,
-        Neighbor, NnIterator, ScanTier, SearchStats, SharedBound, SpatialTree, TreeParams,
-        TreeVariant,
+        forest_knn, CachingSink, KnnAlgorithm, Neighbor, NnIterator, ScanTier, SearchStats,
+        SharedBound, SpatialTree, TreeParams, TreeVariant,
     };
     pub use parsim_parallel::{
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,

@@ -34,15 +34,17 @@ fn main() {
     // Answer a whole workload on a bounded worker pool (one worker per
     // available core; every worker owns one query at a time).
     let queries = UniformGenerator::new(dim).generate(12, 7);
-    let results = engine.knn_batch(&queries, 10).expect("batch runs");
+    let opts = QueryOptions::traced(10);
+    let results = engine.query_batch(&queries, &opts).expect("batch runs");
 
     println!("\nper-query traces:");
     println!(
         "  {:>5}  {:>7}  {:>7}  {:>6}  {:>6}  {:>9}  {:>9}  {:>8}",
         "query", "pages", "busiest", "pruned", "hits", "wall", "modeled", "speedup"
     );
-    for (i, (neighbors, trace)) in results.iter().enumerate() {
-        assert_eq!(neighbors.len(), 10);
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(result.neighbors.len(), 10);
+        let trace = result.trace.as_ref().expect("trace requested");
         println!(
             "  {:>5}  {:>7}  {:>7}  {:>6}  {:>6}  {:>7.2}ms  {:>7.0}ms  {:>7.2}x",
             i,
@@ -57,13 +59,21 @@ fn main() {
     }
 
     // Traces are serde-serializable for offline analysis.
-    let (_, first) = &results[0];
+    let first = results[0].trace.as_ref().expect("trace requested");
     println!("\nfirst trace as JSON:\n{}", first.to_json());
 
     // The same queries again: the caches are warm now, so the disks serve
     // far fewer pages.
-    let warm = engine.knn_batch(&queries, 10).expect("warm batch runs");
-    let cold_hits: u64 = results.iter().map(|(_, t)| t.cache_hits).sum();
-    let warm_hits: u64 = warm.iter().map(|(_, t)| t.cache_hits).sum();
+    let warm = engine
+        .query_batch(&queries, &opts)
+        .expect("warm batch runs");
+    let hits = |results: &[QueryResult]| -> u64 {
+        results
+            .iter()
+            .filter_map(|r| r.trace.as_ref())
+            .map(|t| t.cache_hits)
+            .sum()
+    };
+    let (cold_hits, warm_hits) = (hits(&results), hits(&warm));
     println!("\ncache hits: {cold_hits} cold -> {warm_hits} warm");
 }

@@ -35,14 +35,15 @@ fn main() {
 
     // A healthy batch, then the same queries with one loaded disk failed
     // over to its replicas — the registry keeps counting across both.
-    let results = engine.knn_batch(&queries, k).expect("healthy batch");
+    let opts = QueryOptions::traced(k);
+    let results = engine.query_batch(&queries, &opts).expect("healthy batch");
     let failed = engine
         .load_distribution()
         .iter()
         .position(|&l| l > 0)
         .expect("some disk holds data");
     engine.faults().fail(failed);
-    engine.knn_batch(&queries, k).expect("degraded batch");
+    engine.query_batch(&queries, &opts).expect("degraded batch");
 
     // One snapshot of everything the engine has done so far.
     let snapshot = engine.metrics().expect("metrics enabled").snapshot();
@@ -63,7 +64,8 @@ fn main() {
     // batch's trace sums match what the counters held at that point.
     let healthy_pages: u64 = results
         .iter()
-        .map(|(_, t)| t.per_disk_pages.iter().sum::<u64>())
+        .filter_map(|r| r.trace.as_ref())
+        .map(|t| t.per_disk_pages.iter().sum::<u64>())
         .sum();
     println!("\nhealthy batch pages (trace sum): {healthy_pages}");
 

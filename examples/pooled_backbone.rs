@@ -17,8 +17,8 @@ fn main() {
     let data = UniformGenerator::new(dim).generate(n, 42);
     let queries = UniformGenerator::new(dim).generate(32, 7);
 
-    // Two engines over the same points: the scoped reference (threads
-    // spawned per query) and the persistent per-disk worker pool.
+    // Two engines over the same points: scoped (queries run on the
+    // caller's threads) and the persistent per-disk worker pool.
     let scoped = ParallelKnnEngine::builder(dim)
         .disks(disks)
         .build(&data)
@@ -46,17 +46,19 @@ fn main() {
         .map(|h| h.wait().expect("query succeeds"))
         .collect();
 
-    // Same queries on the scoped reference batch path.
-    let scoped_results = scoped.knn_batch(&queries, k).expect("batch runs");
+    // Same queries as a scoped batch: each worker runs the same query
+    // task inline on its own thread.
+    let scoped_results = scoped.query_batch(&queries, &opts).expect("batch runs");
 
-    // The backbone guarantee: answers AND the deterministic RKV traces
-    // are bit-identical between the two modes.
+    // The backbone guarantee: both modes run the same task, so answers
+    // AND traces are bit-identical.
     let mut barrier_ms = 0.0f64;
     let mut per_disk_totals = vec![0u64; disks];
     let model = *pooled.array().model();
-    for (r, (want, want_trace)) in pooled_results.iter().zip(&scoped_results) {
-        assert_eq!(&r.neighbors, want);
+    for (r, want) in pooled_results.iter().zip(&scoped_results) {
+        assert_eq!(r.neighbors, want.neighbors);
         let trace = r.trace.as_ref().expect("trace requested");
+        let want_trace = want.trace.as_ref().expect("trace requested");
         assert_eq!(trace.per_disk_pages, want_trace.per_disk_pages);
         assert_eq!(trace.dist_evals, want_trace.dist_evals);
         let max = trace.per_disk_pages.iter().copied().max().unwrap_or(0);
