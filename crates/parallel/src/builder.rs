@@ -23,13 +23,13 @@ use parsim_decluster::near_optimal::colors_required;
 use parsim_decluster::replica::{ChainedReplica, ReplicaRouting};
 use parsim_decluster::{BucketBased, Declusterer, NearOptimal, ReplicaDeclusterer};
 use parsim_geometry::{Point, QuadrantSplitter};
-use parsim_index::{KnnAlgorithm, LshConfig, ScanTier, TreeVariant, DEFAULT_CACHE_SHARDS};
+use parsim_index::{LshConfig, ScanTier};
 use parsim_storage::DiskModel;
 
-use crate::config::{EngineConfig, SplitStrategy};
+use crate::config::EngineConfig;
 use crate::engine::{make_splitter_of, ParallelKnnEngine};
 use crate::ingest::IngestConfig;
-use crate::options::{ExecutionMode, FaultPolicy};
+use crate::options::ExecutionMode;
 use crate::serve::AdmissionConfig;
 use crate::EngineError;
 
@@ -72,7 +72,9 @@ pub(crate) fn resolve_default_decluster(
 ///
 /// Defaults: the paper's configuration ([`EngineConfig::paper_defaults`]),
 /// near-optimal declustering over `colors_required(dim)` disks, no
-/// replicas, no page cache, and an empty [`FaultPolicy`].
+/// replicas, and no page cache. Timeouts and retries are set per query
+/// ([`crate::QueryOptions::with_timeout`] /
+/// [`crate::QueryOptions::with_retry`]).
 #[derive(Clone)]
 pub struct EngineBuilder {
     config: EngineConfig,
@@ -80,8 +82,6 @@ pub struct EngineBuilder {
     declusterer: Option<Arc<dyn Declusterer>>,
     replicas: usize,
     page_cache: Option<usize>,
-    cache_shards: usize,
-    fault_policy: FaultPolicy,
     execution: ExecutionMode,
     metrics: bool,
     admission: Option<AdmissionConfig>,
@@ -98,8 +98,6 @@ impl EngineBuilder {
             declusterer: None,
             replicas: 0,
             page_cache: None,
-            cache_shards: DEFAULT_CACHE_SHARDS,
-            fault_policy: FaultPolicy::default(),
             execution: ExecutionMode::default(),
             metrics: false,
             admission: None,
@@ -146,19 +144,12 @@ impl EngineBuilder {
     }
 
     /// Installs an LRU page cache of `capacity` pages in front of every
-    /// disk's primary tree. The cache is sharded (see
-    /// [`EngineBuilder::cache_shards`]) so concurrent searches of the
-    /// same disk never serialize on one global cache mutex.
+    /// disk's primary tree. The cache is split into
+    /// [`parsim_index::DEFAULT_CACHE_SHARDS`] independently locked shards
+    /// so concurrent searches of the same disk never serialize on one
+    /// global cache mutex.
     pub fn page_cache(mut self, capacity: usize) -> Self {
         self.page_cache = Some(capacity);
-        self
-    }
-
-    /// Number of independently locked LRU shards per disk cache (clamped
-    /// to at least 1; default [`DEFAULT_CACHE_SHARDS`]). One shard is
-    /// exact global LRU behind a single lock — the pre-sharding behavior.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
         self
     }
 
@@ -167,13 +158,6 @@ impl EngineBuilder {
     /// [`ExecutionMode`].
     pub fn execution(mut self, execution: ExecutionMode) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Sets the engine-wide degraded-mode defaults (per-disk timeout
-    /// budget and flaky-read retry policy).
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
         self
     }
 
@@ -227,12 +211,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the k-NN algorithm (RKV or HS).
-    pub fn algorithm(mut self, algorithm: KnnAlgorithm) -> Self {
-        self.config.algorithm = algorithm;
-        self
-    }
-
     /// Sets the engine-wide leaf-scan precision tier (default
     /// [`ScanTier::F64`]). Every tier returns bit-identical answers;
     /// [`ScanTier::F32`] trades f64 kernel work for certified f32
@@ -240,18 +218,6 @@ impl EngineBuilder {
     /// [`crate::QueryOptions::with_tier`]. See `docs/TUNING.md`.
     pub fn scan_tier(mut self, tier: ScanTier) -> Self {
         self.config.tier = tier;
-        self
-    }
-
-    /// Sets the index variant of the per-disk trees.
-    pub fn variant(mut self, variant: TreeVariant) -> Self {
-        self.config.variant = variant;
-        self
-    }
-
-    /// Sets the quadrant split strategy for bucket-based declustering.
-    pub fn split_strategy(mut self, splits: SplitStrategy) -> Self {
-        self.config.splits = splits;
         self
     }
 
@@ -332,9 +298,7 @@ impl EngineBuilder {
             declusterer,
             router,
             self.config,
-            self.fault_policy,
             self.page_cache,
-            self.cache_shards,
             self.execution,
             self.metrics,
             self.admission,

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use parsim_index::{KnnAlgorithm, ScanTier, TreeVariant};
+use parsim_index::{ScanTier, TreeVariant};
 use parsim_storage::DiskModel;
 
 /// How the quadrant split values are chosen.
@@ -15,7 +15,8 @@ pub enum SplitStrategy {
     DataMedian,
 }
 
-/// Configuration of a parallel (or sequential) engine.
+/// Configuration of a parallel (or sequential) engine. Every engine
+/// searches with the paper's RKV branch-and-bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Dimensionality of the feature vectors.
@@ -23,8 +24,6 @@ pub struct EngineConfig {
     /// Index variant of the per-disk trees (default: X-tree, as in the
     /// paper).
     pub variant: TreeVariant,
-    /// k-NN algorithm (default: RKV, as in the paper).
-    pub algorithm: KnnAlgorithm,
     /// Split-value strategy for bucket-based declustering.
     pub splits: SplitStrategy,
     /// Precision tier of the leaf scans (default:
@@ -37,13 +36,12 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The configuration used by the paper's experiments: X-tree, RKV,
+    /// The configuration used by the paper's experiments: X-tree,
     /// data-median splits, 1997-era disks.
     pub fn paper_defaults(dim: usize) -> Self {
         EngineConfig {
             dim,
             variant: TreeVariant::xtree_default(),
-            algorithm: KnnAlgorithm::Rkv,
             splits: SplitStrategy::DataMedian,
             tier: ScanTier::F64,
             disk_model: DiskModel::hp_workstation_1997(),
@@ -59,7 +57,6 @@ mod tests {
     fn paper_defaults_match_paper() {
         let c = EngineConfig::paper_defaults(16);
         assert_eq!(c.dim, 16);
-        assert_eq!(c.algorithm, KnnAlgorithm::Rkv);
         assert_eq!(c.splits, SplitStrategy::DataMedian);
         assert_eq!(c.tier, ScanTier::F64);
         assert!(matches!(c.variant, TreeVariant::XTree { .. }));

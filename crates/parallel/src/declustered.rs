@@ -26,7 +26,7 @@ use parsim_decluster::{BucketDecluster, Declusterer, NearOptimal};
 use parsim_geometry::{Point, QuadrantSplitter};
 use parsim_index::knn::Neighbor;
 use parsim_index::node::{Node, NodeId};
-use parsim_index::{NodeSink, SpatialTree, TreeParams, VisitOutcome};
+use parsim_index::{KnnAlgorithm, NodeSink, SpatialTree, TreeParams, VisitOutcome};
 use parsim_storage::{DiskArray, QueryCost, SimDisk};
 
 use crate::config::{EngineConfig, SplitStrategy};
@@ -351,7 +351,7 @@ impl DeclusteredXTree {
         }
         let scope = self.array.begin_query();
         let dir_before = self.sink.directory_reads.load(Ordering::Relaxed);
-        let neighbors = self.tree.knn(query, k, self.config.algorithm);
+        let neighbors = self.tree.knn(query, k, KnnAlgorithm::Rkv);
         let dir_after = self.sink.directory_reads.load(Ordering::Relaxed);
         Ok((neighbors, scope.finish(&self.array), dir_after - dir_before))
     }

@@ -34,7 +34,7 @@ use parsim_index::knn::{
 };
 use parsim_index::{
     CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, SpatialTree,
-    TreeParams,
+    TreeParams, DEFAULT_CACHE_SHARDS,
 };
 use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 
@@ -44,9 +44,7 @@ use crate::ingest::{DeltaOp, DeltaState, IngestConfig, QueryOverlay};
 use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters, LshRuntime};
 use crate::metrics::{DegradedInfo, QueryTrace};
 use crate::obs::EngineMetrics;
-use crate::options::{
-    ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy,
-};
+use crate::options::{ExecutionMode, QueryMode, QueryOptions, QueryResult, RetryPolicy};
 use crate::pool::{
     deliver, panic_message, run_inline, Completion, PendingQuery, Phase, QueryTask, Stage,
     WorkerPool,
@@ -93,10 +91,14 @@ pub(crate) struct EngineShared {
     /// [`EngineShared::rebuild`] takes the write lock only for the final
     /// pointer swap.
     inner: RwLock<EngineInner>,
+    /// Dimensionality of the points, fixed at build: the write path
+    /// checks it without touching `inner`.
+    dim: usize,
     /// Write-path configuration; `None` means the engine is read-only
     /// and the delta buffer stays empty forever (queries skip it).
     ingest: Option<IngestConfig>,
-    /// The delta buffer. Lock order: `inner` before `delta`, always.
+    /// The delta buffer. Writes take only this lock; everything that
+    /// also needs `inner` takes `inner` first.
     delta: Mutex<DeltaState>,
     /// Item-id allocator; seeded past the largest bulk-loaded id.
     next_seq: AtomicU64,
@@ -123,9 +125,7 @@ pub(crate) struct EngineInner {
     core: Arc<EngineCore>,
     declusterer: Arc<dyn Declusterer>,
     replica_router: Option<Arc<dyn ReplicaRouting>>,
-    fault_policy: FaultPolicy,
     page_cache_capacity: Option<usize>,
-    cache_shards: usize,
     /// Per-disk page caches; empty unless [`EngineBuilder::page_cache`]
     /// was set.
     caches: Vec<Arc<CachingSink>>,
@@ -308,21 +308,6 @@ impl EngineCore {
         cursor.visit(&self.trees[disk].read(), query, stats);
     }
 
-    /// One HS pipeline hop: disk `disk`'s full local best-first search,
-    /// pruning against (and tightening) the traveling bound.
-    pub(crate) fn hs_visit(
-        &self,
-        disk: usize,
-        query: &Point,
-        k: usize,
-        bound: &SharedBound,
-        tier: ScanTier,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.trees[disk]
-            .read()
-            .knn_traced_tiered(query, k, KnnAlgorithm::Hs, Some(bound), tier)
-    }
-
     /// The approximate tier. Approximate tasks are built only when the
     /// tier exists, so only they call this.
     pub(crate) fn lsh(&self) -> &LshRuntime {
@@ -341,23 +326,20 @@ impl EngineCore {
         target: &mut DegradedTarget,
     ) -> (Vec<Neighbor>, SearchStats) {
         match target {
-            DegradedTarget::Exact { tier, bound } => {
-                let algorithm = self.config.algorithm;
-                match host {
-                    None => self.trees[d].read().knn_traced_tiered(
-                        query,
-                        k,
-                        algorithm,
-                        Some(bound),
-                        *tier,
-                    ),
-                    Some(host) => {
-                        let mirrors = self.mirrors[d].read();
-                        let mirror = mirrors.get(&host).expect("planned failover host exists");
-                        mirror.knn_traced_tiered(query, k, algorithm, Some(bound), *tier)
-                    }
+            DegradedTarget::Exact { tier, bound } => match host {
+                None => self.trees[d].read().knn_traced_tiered(
+                    query,
+                    k,
+                    KnnAlgorithm::Rkv,
+                    Some(bound),
+                    *tier,
+                ),
+                Some(host) => {
+                    let mirrors = self.mirrors[d].read();
+                    let mirror = mirrors.get(&host).expect("planned failover host exists");
+                    mirror.knn_traced_tiered(query, k, KnnAlgorithm::Rkv, Some(bound), *tier)
                 }
-            }
+            },
             DegradedTarget::Approx { plan, counters } => {
                 let at = plan
                     .binary_search_by_key(&d, |p| p.disk)
@@ -538,9 +520,9 @@ impl EngineInner {
     /// Bulk-loads one complete engine state: one primary tree per disk
     /// and, when a replica router is supplied, one mirror tree per
     /// (source disk, mirror disk) pair; sink chains (`DiskSink`,
-    /// optionally wrapped by a sharded LRU [`CachingSink`], optionally
-    /// wrapped by a [`CoalescingSink`] — outermost first) installed at
-    /// construction. With [`ExecutionMode::Pooled`] the per-disk worker
+    /// optionally wrapped by a [`DEFAULT_CACHE_SHARDS`]-way sharded LRU
+    /// [`CachingSink`], optionally wrapped by a [`CoalescingSink`] —
+    /// outermost first) installed at construction. With [`ExecutionMode::Pooled`] the per-disk worker
     /// pool starts eagerly, before the first query.
     #[allow(clippy::too_many_arguments)]
     fn build(
@@ -548,9 +530,7 @@ impl EngineInner {
         declusterer: Arc<dyn Declusterer>,
         replica_router: Option<Arc<dyn ReplicaRouting>>,
         config: EngineConfig,
-        fault_policy: FaultPolicy,
         page_cache: Option<usize>,
-        cache_shards: usize,
         execution: ExecutionMode,
         metrics: Option<Arc<EngineMetrics>>,
         admission: Option<AdmissionConfig>,
@@ -623,8 +603,12 @@ impl EngineInner {
                 let mut sink: Arc<dyn NodeSink> = Arc::new(DiskSink(Arc::clone(array.disk(i))));
                 if let Some(capacity) = page_cache {
                     let cm = metrics.as_ref().map(|m| m.cache_metrics(i));
-                    let cache =
-                        Arc::new(CachingSink::with_metrics(sink, capacity, cache_shards, cm));
+                    let cache = Arc::new(CachingSink::with_metrics(
+                        sink,
+                        capacity,
+                        DEFAULT_CACHE_SHARDS,
+                        cm,
+                    ));
                     caches.push(Arc::clone(&cache));
                     sink = cache;
                 }
@@ -669,9 +653,7 @@ impl EngineInner {
             core,
             declusterer,
             replica_router,
-            fault_policy,
             page_cache_capacity: page_cache,
-            cache_shards,
             caches,
             execution,
             explicit_declusterer,
@@ -704,7 +686,7 @@ impl EngineInner {
             }
             QueryMode::Approx { probes } => Some(probes),
         };
-        let (timeout, retry) = self.resolve_policy(opts);
+        let (timeout, retry) = (opts.timeout, opts.retry.unwrap_or_default());
         let tier = opts.tier.unwrap_or(core.config.tier);
         let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
         let degraded = timeout.is_some() || core.array.faults().any_armed();
@@ -728,7 +710,7 @@ impl EngineInner {
             return Ok(pending);
         }
         if fan_out && self.pool.is_none() && probes.is_none() && !degraded {
-            deliver(core, &completion, Ok(self.knn_healthy(query, k, tier)));
+            deliver(core, &completion, self.knn_healthy(query, k, tier));
             return Ok(pending);
         }
         let stage = if degraded {
@@ -754,18 +736,10 @@ impl EngineInner {
                 counters: LshCounters::default(),
             }
         } else {
-            match core.config.algorithm {
-                KnnAlgorithm::Rkv => Stage::Rkv {
-                    cursor: ForestCursor::with_tier(k, tier),
-                    itinerary: core.itinerary(query),
-                    pos: 0,
-                },
-                KnnAlgorithm::Hs => Stage::Hs {
-                    tier,
-                    bound: SharedBound::new(),
-                    candidates: vec![Vec::new(); n],
-                    next: 0,
-                },
+            Stage::Rkv {
+                cursor: ForestCursor::with_tier(k, tier),
+                itinerary: core.itinerary(query),
+                pos: 0,
             }
         };
         let deadline = opts.deadline.or(core.admission.and_then(|a| a.deadline));
@@ -802,14 +776,16 @@ impl EngineInner {
     /// The scoped healthy fast path: one scoped thread per disk, shared
     /// pruning bound, exact per-query trace — the paper's Var. 3 search.
     /// The threads race on the shared bound, so the page trace can vary
-    /// from run to run; the answer cannot.
-    fn knn_healthy(&self, query: &Point, k: usize, tier: ScanTier) -> (Vec<Neighbor>, QueryTrace) {
-        let algorithm = self.core.config.algorithm;
+    /// from run to run; the answer cannot. A panicking per-disk search
+    /// fails the query with [`EngineError::Internal`], as a panicking
+    /// step of the state machine does.
+    fn knn_healthy(&self, query: &Point, k: usize, tier: ScanTier) -> TracedAnswer {
         let start = Instant::now();
         let shared = SharedBound::new();
         // One scoped thread per disk; each returns its local candidates
-        // and locally-counted work so the trace is exact per query.
-        let locals: Vec<_> = std::thread::scope(|s| {
+        // and locally-counted work so the trace is exact per query. Every
+        // handle is joined, so a panicked thread never re-panics the scope.
+        let joined: Vec<_> = std::thread::scope(|s| {
             let shared = &shared;
             let handles: Vec<_> = self
                 .core
@@ -817,28 +793,30 @@ impl EngineInner {
                 .iter()
                 .map(|tree| {
                     s.spawn(move || {
-                        tree.read()
-                            .knn_traced_tiered(query, k, algorithm, Some(shared), tier)
+                        tree.read().knn_traced_tiered(
+                            query,
+                            k,
+                            KnnAlgorithm::Rkv,
+                            Some(shared),
+                            tier,
+                        )
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("per-disk search does not panic"))
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
         let wall = start.elapsed();
+        let locals = joined
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|payload| {
+                let cause = panic_message(payload.as_ref());
+                EngineError::Internal(format!("per-disk search panicked: {cause}"))
+            })?;
         let merged = merge_candidates(locals.iter().map(|(c, _)| c.as_slice()), k);
         let stats: Vec<_> = locals.iter().map(|(_, s)| *s).collect();
         let trace = QueryTrace::from_stats(&stats, wall, self.core.array.model());
-        (merged, trace)
-    }
-
-    fn resolve_policy(&self, opts: &QueryOptions) -> (Option<Duration>, RetryPolicy) {
-        (
-            opts.timeout.or(self.fault_policy.timeout),
-            opts.retry.unwrap_or(self.fault_policy.retry),
-        )
+        Ok((merged, trace))
     }
 }
 
@@ -851,34 +829,6 @@ impl EngineShared {
             return None;
         }
         self.delta.lock().overlay(query, k)
-    }
-
-    /// True when the write that just applied should trigger a rebuild:
-    /// the delta crossed its size threshold, or the projected per-disk
-    /// load imbalance (`max/avg`, counting buffered inserts toward the
-    /// disks the current declusterer gives them) crossed the skew knob.
-    fn rebuild_due(&self, cfg: &IngestConfig, inner: &EngineInner, delta: &DeltaState) -> bool {
-        if cfg.rebuild_threshold.is_some_and(|t| delta.size() >= t) {
-            return true;
-        }
-        let Some(threshold) = cfg.imbalance_threshold else {
-            return false;
-        };
-        let per_disk = delta.per_disk();
-        let loads: Vec<usize> = inner
-            .core
-            .trees
-            .iter()
-            .enumerate()
-            .map(|(d, t)| t.read().len() + per_disk.get(d).copied().unwrap_or(0))
-            .collect();
-        let total: usize = loads.iter().sum();
-        if total == 0 || loads.is_empty() {
-            return false;
-        }
-        let max = *loads.iter().max().expect("non-empty") as f64;
-        let avg = total as f64 / loads.len() as f64;
-        max / avg > threshold
     }
 
     /// Launches (or coalesces into) a background shadow rebuild. A burst
@@ -923,24 +873,13 @@ impl EngineShared {
     /// totals span the swap.
     fn rebuild(shared: &EngineShared) -> Result<(), EngineError> {
         let _guard = shared.maintenance.lock();
-        let (
-            old_core,
-            declusterer,
-            replica_router,
-            fault_policy,
-            page_cache,
-            cache_shards,
-            execution,
-            explicit,
-        ) = {
+        let (old_core, declusterer, replica_router, page_cache, execution, explicit) = {
             let inner = shared.inner.read();
             (
                 Arc::clone(&inner.core),
                 Arc::clone(&inner.declusterer),
                 inner.replica_router.clone(),
-                inner.fault_policy,
                 inner.page_cache_capacity,
-                inner.cache_shards,
                 inner.execution,
                 inner.explicit_declusterer,
             )
@@ -1000,9 +939,7 @@ impl EngineShared {
                     declusterer,
                     replica_router,
                     config,
-                    fault_policy,
                     page_cache,
-                    cache_shards,
                     execution,
                     shared.metrics.clone(),
                     admission,
@@ -1032,19 +969,17 @@ impl EngineShared {
         // The atomic swap. Holding the inner write lock excludes new
         // query submissions for the duration of the pointer swap and the
         // journal replay only; in-flight pooled queries are untouched —
-        // their workers hold their own Arc to the old core.
+        // their workers hold their own Arc to the old core. The replay
+        // runs no user code, so it cannot fail half-way.
         let old = {
             let mut inner = shared.inner.write();
             let old = std::mem::replace(&mut *inner, new_inner);
             let mut delta = shared.delta.lock();
             let tail = delta.end_rebuild();
-            *delta = DeltaState::new(disks);
+            *delta = DeltaState::new();
             for op in tail {
                 match op {
-                    DeltaOp::Insert(point, item) => {
-                        let disk = inner.declusterer.assign(item, &point);
-                        delta.apply_insert(point, item, disk);
-                    }
+                    DeltaOp::Insert(point, item) => delta.apply_insert(point, item),
                     DeltaOp::Remove(item) => {
                         // A journaled remove may target an id the rebuild
                         // already purged (tombstoned before the build
@@ -1054,8 +989,7 @@ impl EngineShared {
                         // replay only when the id still exists, in the
                         // new index or as a just-replayed buffered insert.
                         if delta.contains_live(item) || new_ids.binary_search(&item).is_ok() {
-                            let d = Arc::clone(&inner.declusterer);
-                            delta.apply_remove(item, &|id, p| d.assign(id, p));
+                            delta.apply_remove(item);
                         }
                     }
                 }
@@ -1088,9 +1022,7 @@ impl ParallelKnnEngine {
         declusterer: Arc<dyn Declusterer>,
         replica_router: Option<Arc<dyn ReplicaRouting>>,
         config: EngineConfig,
-        fault_policy: FaultPolicy,
         page_cache: Option<usize>,
-        cache_shards: usize,
         execution: ExecutionMode,
         metrics: bool,
         admission: Option<AdmissionConfig>,
@@ -1099,16 +1031,14 @@ impl ParallelKnnEngine {
         explicit_declusterer: bool,
     ) -> Result<Self, EngineError> {
         let disks = declusterer.disks();
-        let metrics = metrics.then(|| Arc::new(EngineMetrics::new(disks, cache_shards)));
+        let metrics = metrics.then(|| Arc::new(EngineMetrics::new(disks, DEFAULT_CACHE_SHARDS)));
         let next_seq = items.iter().map(|&(_, id)| id + 1).max().unwrap_or(0);
         let inner = EngineInner::build(
             items,
             declusterer,
             replica_router,
             config,
-            fault_policy,
             page_cache,
-            cache_shards,
             execution,
             metrics.clone(),
             admission,
@@ -1118,8 +1048,9 @@ impl ParallelKnnEngine {
         Ok(ParallelKnnEngine {
             shared: Arc::new(EngineShared {
                 inner: RwLock::new(inner),
+                dim: config.dim,
                 ingest,
-                delta: Mutex::new(DeltaState::new(disks)),
+                delta: Mutex::new(DeltaState::new()),
                 next_seq: AtomicU64::new(next_seq),
                 maintenance: Mutex::new(()),
                 rebuild_running: AtomicBool::new(false),
@@ -1163,11 +1094,6 @@ impl ParallelKnnEngine {
     /// array — re-take the handle to inject into the rebuilt state.
     pub fn faults(&self) -> FaultsHandle {
         FaultsHandle(Arc::clone(&self.shared.inner.read().core))
-    }
-
-    /// The engine-wide degraded-mode defaults set at build time.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.shared.inner.read().fault_policy
     }
 
     /// The serve-layer admission policy, or `None` when the engine runs
@@ -1288,20 +1214,20 @@ impl ParallelKnnEngine {
     /// [`EngineBuilder::ingest`]; [`EngineError::DeltaFull`] when the
     /// buffer is at capacity (typed write backpressure — retry after a
     /// flush/reorganize); [`EngineError::DimensionMismatch`] for a point
-    /// of the wrong dimension. When the write trips a foreground rebuild
-    /// trigger, rebuild errors propagate — the write itself was applied.
+    /// of the wrong dimension. A write that brings the delta to
+    /// [`IngestConfig::rebuild_threshold`] starts a background rebuild;
+    /// its outcome never reaches the writer.
     pub fn insert(&self, point: Point) -> Result<u64, EngineError> {
         let Some(cfg) = self.shared.ingest else {
             return Err(EngineError::ReadOnly);
         };
+        if point.dim() != self.shared.dim {
+            return Err(EngineError::DimensionMismatch {
+                expected: self.shared.dim,
+                got: point.dim(),
+            });
+        }
         let (item, due) = {
-            let inner = self.shared.inner.read();
-            if point.dim() != inner.core.config.dim {
-                return Err(EngineError::DimensionMismatch {
-                    expected: inner.core.config.dim,
-                    got: point.dim(),
-                });
-            }
             let mut delta = self.shared.delta.lock();
             if delta.size() >= cfg.delta_capacity {
                 if let Some(m) = &self.shared.metrics {
@@ -1312,19 +1238,14 @@ impl ParallelKnnEngine {
                 });
             }
             let item = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-            let disk = inner.declusterer.assign(item, &point);
-            delta.apply_insert(point, item, disk);
+            delta.apply_insert(point, item);
             if let Some(m) = &self.shared.metrics {
                 m.record_ingest_insert(delta.live_len(), delta.tombstone_len());
             }
-            (item, self.shared.rebuild_due(&cfg, &inner, &delta))
+            (item, cfg.rebuild_due(&delta))
         };
         if due {
-            if cfg.background {
-                self.shared.spawn_rebuild();
-            } else {
-                EngineShared::rebuild(&self.shared)?;
-            }
+            self.shared.spawn_rebuild();
         }
         Ok(item)
     }
@@ -1341,18 +1262,17 @@ impl ParallelKnnEngine {
     /// [`EngineError::DeltaFull`] when the removal would need a new
     /// tombstone and the buffer is at capacity;
     /// [`EngineError::Internal`] for an id that was never allocated.
-    /// Foreground rebuild-trigger errors propagate as for `insert`.
+    /// Triggers background rebuilds as `insert` does.
     pub fn remove(&self, item: u64) -> Result<(), EngineError> {
         let Some(cfg) = self.shared.ingest else {
             return Err(EngineError::ReadOnly);
         };
+        if item >= self.shared.next_seq.load(Ordering::Relaxed) {
+            return Err(EngineError::Internal(format!(
+                "item {item} was never allocated"
+            )));
+        }
         let due = {
-            let inner = self.shared.inner.read();
-            if item >= self.shared.next_seq.load(Ordering::Relaxed) {
-                return Err(EngineError::Internal(format!(
-                    "item {item} was never allocated"
-                )));
-            }
             let mut delta = self.shared.delta.lock();
             if !delta.contains_live(item) && delta.size() >= cfg.delta_capacity {
                 if let Some(m) = &self.shared.metrics {
@@ -1362,19 +1282,14 @@ impl ParallelKnnEngine {
                     capacity: cfg.delta_capacity,
                 });
             }
-            let d = Arc::clone(&inner.declusterer);
-            delta.apply_remove(item, &|id, p| d.assign(id, p));
+            delta.apply_remove(item);
             if let Some(m) = &self.shared.metrics {
                 m.record_ingest_remove(delta.live_len(), delta.tombstone_len());
             }
-            self.shared.rebuild_due(&cfg, &inner, &delta)
+            cfg.rebuild_due(&delta)
         };
         if due {
-            if cfg.background {
-                self.shared.spawn_rebuild();
-            } else {
-                EngineShared::rebuild(&self.shared)?;
-            }
+            self.shared.spawn_rebuild();
         }
         Ok(())
     }
@@ -1396,12 +1311,11 @@ impl ParallelKnnEngine {
     /// then swaps it in atomically. Queries and writes keep running
     /// throughout the build; writes that land mid-build are journaled
     /// and replayed into the fresh delta buffer at swap time, so nothing
-    /// is lost or duplicated. Disk count, replication, fault policy,
-    /// page-cache setup, execution mode, and admission policy are
-    /// preserved; the rebuilt state starts with a fresh, healthy disk
-    /// array (injected faults do not carry over) and rebuilt caches. The
-    /// metrics registry (when enabled) is **carried over** — cumulative
-    /// totals span the swap.
+    /// is lost or duplicated. Disk count, replication, page-cache setup,
+    /// execution mode, and admission policy are preserved; the rebuilt
+    /// state starts with a fresh, healthy disk array (injected faults do
+    /// not carry over) and rebuilt caches. The metrics registry (when
+    /// enabled) is **carried over** — cumulative totals span the swap.
     ///
     /// This is the paper's reorganization step for data whose
     /// distribution drifted after many insertions, made non-stop-the-
@@ -1435,10 +1349,10 @@ impl ParallelKnnEngine {
     /// Enqueues one k-NN query and returns a handle to wait on.
     ///
     /// Every query is one task of the engine's query state machine: it
-    /// travels disk to disk along its MINDIST itinerary (RKV), or disk by
-    /// disk with a carried pruning bound (HS), or over its LSH probe plan
-    /// (approximate mode), or through the degraded steps when faults are
-    /// armed or a timeout budget applies.
+    /// travels disk to disk along its MINDIST itinerary (the paper's RKV
+    /// search), or over its LSH probe plan (approximate mode), or through
+    /// the degraded steps when faults are armed or a timeout budget
+    /// applies.
     ///
     /// In [`ExecutionMode::Pooled`] the task is handed to the per-disk
     /// worker pool and this call returns immediately. Submitting many
@@ -1455,11 +1369,11 @@ impl ParallelKnnEngine {
     /// **Determinism.** A task's answer *and* trace (`per_disk_pages`,
     /// `dist_evals`, pruning and LSH counters, the degraded record) are
     /// the same whichever driver runs it, so scoped and pooled batches
-    /// agree exactly; with RKV they also equal the reference forest
-    /// search. The one exception is the scoped single healthy exact
-    /// query: its per-disk threads race on the shared bound, so its
-    /// answer is exact but its page trace can vary. Cache-hit counters
-    /// are execution-order dependent in all modes.
+    /// agree exactly; exact ones also equal the reference forest search.
+    /// The one exception is the scoped single healthy exact query: its
+    /// per-disk threads race on the shared bound, so its answer is exact
+    /// but its page trace can vary. Cache-hit counters are
+    /// execution-order dependent in all modes.
     pub fn submit(&self, query: &Point, opts: &QueryOptions) -> Result<PendingQuery, EngineError> {
         let inner = self.shared.inner.read();
         if query.dim() != inner.core.config.dim {
@@ -1615,49 +1529,6 @@ impl ParallelKnnEngine {
     pub fn knn(&self, query: &Point, k: usize) -> Result<(Vec<Neighbor>, QueryCost), EngineError> {
         let result = self.query(query, &QueryOptions::new(k))?;
         Ok((result.neighbors, result.cost))
-    }
-
-    /// Runs a k-NN query with **independent** per-disk searches: every
-    /// disk finds its local top-`k` to completion (no shared bound) and
-    /// the candidates are merged. This models a share-nothing cluster
-    /// without inter-node pruning traffic; it reads more pages than
-    /// [`ParallelKnnEngine::knn`] and is kept for the ablation benches.
-    pub fn knn_independent(
-        &self,
-        query: &Point,
-        k: usize,
-    ) -> Result<(Vec<Neighbor>, QueryCost), EngineError> {
-        let inner = self.shared.inner.read();
-        if query.dim() != inner.core.config.dim {
-            return Err(EngineError::DimensionMismatch {
-                expected: inner.core.config.dim,
-                got: query.dim(),
-            });
-        }
-        let overlay = self.shared.overlay_for(query, k);
-        let k_eff = k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
-        let scope = inner.core.array.begin_query();
-        let algorithm = inner.core.config.algorithm;
-
-        let mut locals: Vec<Vec<Neighbor>> = Vec::with_capacity(inner.core.trees.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = inner
-                .core
-                .trees
-                .iter()
-                .map(|tree| s.spawn(move || tree.read().knn(query, k_eff, algorithm)))
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("local knn does not panic"));
-            }
-        });
-
-        let merged = merge_candidates(locals.iter().map(Vec::as_slice), k_eff);
-        let merged = match &overlay {
-            Some(o) => o.apply(merged),
-            None => merged,
-        };
-        Ok((merged, scope.finish(&inner.core.array)))
     }
 
     /// A handle on the simulated disk array (for experiment accounting).
@@ -2082,7 +1953,6 @@ mod tests {
             .unwrap();
         e.remove(7).unwrap();
         assert_eq!(e.len(), 39);
-        let decl = e.declusterer();
         let shared = Arc::clone(&e.shared);
         // Pin the capture window open: the swap needs the inner write
         // lock, so holding a read guard parks the rebuild right before
@@ -2095,7 +1965,7 @@ mod tests {
         loop {
             let mut delta = e.shared.delta.lock();
             if delta.capturing() {
-                delta.apply_remove(7, &|id, p| decl.assign(id, p));
+                delta.apply_remove(7);
                 break;
             }
             drop(delta);
@@ -2234,12 +2104,11 @@ mod tests {
         assert_eq!(s.counter_total("parsim_queries_failed_total"), 1);
     }
 
-    /// Round-robin placement that, once armed, panics on every bulk-loaded
-    /// item id (below `bulk`): the rebuild's partition pass panics, while
-    /// `insert` — which assigns fresh ids only — never does.
+    /// Round-robin placement that, once armed, panics on every item id in
+    /// `panics_on`.
     struct PanickyDeclusterer {
         disks: usize,
-        bulk: u64,
+        panics_on: std::ops::Range<u64>,
         armed: Arc<AtomicBool>,
     }
 
@@ -2253,7 +2122,7 @@ mod tests {
         }
 
         fn assign(&self, seq: u64, _p: &Point) -> usize {
-            if seq < self.bulk && self.armed.load(Ordering::SeqCst) {
+            if self.panics_on.contains(&seq) && self.armed.load(Ordering::SeqCst) {
                 panic!("declusterer armed to panic");
             }
             seq as usize % self.disks
@@ -2264,10 +2133,12 @@ mod tests {
     fn a_panicking_rebuild_fails_typed_and_ingest_keeps_rebuilding() {
         let pts = UniformGenerator::new(4).generate(200, 5);
         let armed = Arc::new(AtomicBool::new(false));
+        // Armed on the bulk-loaded ids only: the rebuild's partition pass
+        // panics.
         let e = ParallelKnnEngine::builder(4)
             .declusterer(Arc::new(PanickyDeclusterer {
                 disks: 4,
-                bulk: pts.len() as u64,
+                panics_on: 0..pts.len() as u64,
                 armed: Arc::clone(&armed),
             }))
             .metrics(true)
@@ -2323,24 +2194,152 @@ mod tests {
         }
     }
 
+    /// A visit sink that panics on every node it is asked to charge.
+    struct PanickingSink;
+
+    impl NodeSink for PanickingSink {
+        fn visit(
+            &self,
+            _id: parsim_index::node::NodeId,
+            _node: &parsim_index::node::Node,
+        ) -> parsim_index::VisitOutcome {
+            panic!("sink armed to panic");
+        }
+    }
+
+    /// Asserts `e` answers `queries` bit-identically to brute force over
+    /// `data`.
+    fn assert_exact(e: &ParallelKnnEngine, data: &[(Point, u64)], queries: &[Point]) {
+        for q in queries {
+            let got = e.query(q, &QueryOptions::new(10)).unwrap().neighbors;
+            let want = brute_force_knn(data, q, 10);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.dist.to_bits(), w.dist.to_bits());
+                assert_eq!(g.item, w.item);
+            }
+        }
+    }
+
     #[test]
-    fn triggered_foreground_rebuild_fires_on_the_threshold() {
-        let pts = UniformGenerator::new(3).generate(100, 3);
-        let e = ParallelKnnEngine::builder(3)
-            .disks(2)
-            .ingest(
-                IngestConfig::new(64)
-                    .with_rebuild_threshold(10)
-                    .foreground(),
-            )
+    fn a_panicking_fan_out_search_fails_the_query_and_the_engine_keeps_serving() {
+        // The scoped single healthy exact query fans out one thread per
+        // disk; a panic on one of them completes the query with a typed
+        // error instead of unwinding into the caller.
+        let pts = UniformGenerator::new(4).generate(400, 3);
+        let e = ParallelKnnEngine::builder(4)
+            .disks(4)
+            .metrics(true)
             .build(&pts)
             .unwrap();
-        let extra = UniformGenerator::new(3).generate(10, 77);
-        for p in &extra {
-            e.insert(p.clone()).unwrap();
+        // Disk 0 now holds every point behind a panicking sink: its root
+        // contains the query, so its search cannot be pruned away.
+        let params = TreeParams::for_dim(4, e.config().variant).unwrap();
+        let items: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
+        let panicking = SpatialTree::bulk_load(params, items.clone())
+            .unwrap()
+            .with_sink(Arc::new(PanickingSink));
+        let original = {
+            let inner = e.shared.inner.read();
+            let mut tree = inner.core.trees[0].write();
+            std::mem::replace(&mut *tree, panicking)
+        };
+        match e.query(&pts[7], &QueryOptions::new(5)) {
+            Err(EngineError::Internal(msg)) => {
+                assert!(msg.contains("sink armed to panic"), "{msg}")
+            }
+            other => panic!("expected EngineError::Internal, got {other:?}"),
         }
-        // The 10th insert crossed the threshold and rebuilt synchronously.
+        let s = e.metrics().unwrap().snapshot();
+        assert_eq!(s.counter_total("parsim_queries_started_total"), 1);
+        assert_eq!(s.counter_total("parsim_queries_failed_total"), 1);
+        *e.shared.inner.read().core.trees[0].write() = original;
+        assert_exact(&e, &items, &UniformGenerator::new(4).generate(4, 8));
+    }
+
+    #[test]
+    fn writes_and_the_swap_replay_never_call_the_declusterer() {
+        // Writes that land while a triggered background rebuild is parked
+        // before its swap run no user code and never wait for the swap,
+        // and the swap's journal replay keeps every one of them.
+        let pts = UniformGenerator::new(4).generate(200, 5);
+        let extra = UniformGenerator::new(4).generate(8, 6);
+        let threshold = 4;
+        // Ids from `window` on are allocated inside the capture window.
+        // The parked rebuild never partitions them, so arming on them
+        // cannot fail its build.
+        let window = (pts.len() + threshold) as u64;
+        let armed = Arc::new(AtomicBool::new(false));
+        let e = Arc::new(
+            ParallelKnnEngine::builder(4)
+                .declusterer(Arc::new(PanickyDeclusterer {
+                    disks: 4,
+                    panics_on: window..u64::MAX,
+                    armed: Arc::clone(&armed),
+                }))
+                .ingest(IngestConfig::new(64).with_rebuild_threshold(threshold))
+                .build(&pts)
+                .unwrap(),
+        );
+        let mut data: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
+        // The swap needs the inner write lock, so a held read guard parks
+        // the rebuild right after its build.
+        let pin = e.shared.inner.read();
+        for p in &extra[..threshold] {
+            data.push((p.clone(), e.insert(p.clone()).unwrap()));
+        }
+        // The last insert reached the threshold and started the rebuild.
+        while !e.shared.delta.lock().capturing() {
+            std::thread::yield_now();
+        }
+        armed.store(true, Ordering::SeqCst);
+        // The writes run on another thread: one that waited for the parked
+        // swap would hang behind the pin instead of failing the test.
+        let writes = extra[threshold..threshold + 2].to_vec();
+        let writer = Arc::clone(&e);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = (|| {
+                let dropped = writer.insert(writes[0].clone())?;
+                let kept = writer.insert(writes[1].clone())?;
+                writer.remove(dropped)?;
+                writer.remove(3)?;
+                Ok::<_, EngineError>(kept)
+            })();
+            let _ = tx.send(result);
+        });
+        let Ok(result) = rx.recv_timeout(Duration::from_secs(20)) else {
+            drop(pin);
+            panic!("writes inside the capture window must neither panic nor wait for the swap");
+        };
+        data.push((extra[threshold + 1].clone(), result.unwrap()));
+        data.retain(|&(_, id)| id != 3);
+        assert!(e.shared.delta.lock().capturing(), "the rebuild is parked");
+        drop(pin);
+        let handle = e.shared.rebuild_handle.lock().take();
+        handle
+            .expect("the threshold started a rebuild")
+            .join()
+            .unwrap();
+        assert!(!e.shared.rebuild_running.load(Ordering::SeqCst));
+        // The replay kept the window's net writes: one buffered insert
+        // and one tombstone.
+        assert_eq!(e.delta_size(), 2);
+        assert_eq!(e.len(), data.len());
+        let queries = UniformGenerator::new(4).generate(6, 8);
+        assert_exact(&e, &data, &queries);
+        // Disarmed, the next threshold crossing rebuilds in the background.
+        armed.store(false, Ordering::SeqCst);
+        for p in &extra[threshold + 2..threshold + 4] {
+            data.push((p.clone(), e.insert(p.clone()).unwrap()));
+        }
+        let handle = e.shared.rebuild_handle.lock().take();
+        handle
+            .expect("the threshold started a rebuild")
+            .join()
+            .unwrap();
         assert_eq!(e.delta_size(), 0);
-        assert_eq!(e.load_distribution().iter().sum::<usize>(), 110);
+        assert_eq!(e.len(), data.len());
+        assert_exact(&e, &data, &queries);
     }
 }

@@ -42,58 +42,39 @@ pub struct IngestConfig {
     /// overlay cost: every query brute-force scans at most this many
     /// delta points.
     pub delta_capacity: usize,
-    /// Delta size at which a rebuild is triggered automatically after a
-    /// write; `None` (the default) leaves reorganization to explicit
-    /// [`flush`](crate::ParallelKnnEngine::flush) /
+    /// Delta size at which a write triggers a shadow rebuild on a
+    /// background thread; `None` (the default) leaves reorganization to
+    /// explicit [`flush`](crate::ParallelKnnEngine::flush) /
     /// [`reorganize`](crate::ParallelKnnEngine::reorganize) calls.
     pub rebuild_threshold: Option<usize>,
-    /// Projected load imbalance (`max/avg` over per-disk point counts,
-    /// counting buffered inserts toward the disks the current
-    /// declusterer would give them) past which a write triggers a
-    /// rebuild — the same skew statistic the declustering refinement
-    /// tracks per level. `None` disables the skew trigger.
-    pub imbalance_threshold: Option<f64>,
-    /// Run triggered rebuilds on a background thread (the default); set
-    /// false to rebuild synchronously on the triggering write call.
-    pub background: bool,
 }
 
 impl IngestConfig {
     /// A write path buffering up to `delta_capacity` operations, with
-    /// both automatic-rebuild triggers off.
+    /// the automatic-rebuild trigger off.
     pub fn new(delta_capacity: usize) -> Self {
         IngestConfig {
             delta_capacity: delta_capacity.max(1),
             rebuild_threshold: None,
-            imbalance_threshold: None,
-            background: true,
         }
     }
 
-    /// Triggers an automatic rebuild once the delta holds `threshold`
+    /// Triggers a background rebuild once the delta holds `threshold`
     /// entries.
     pub fn with_rebuild_threshold(mut self, threshold: usize) -> Self {
         self.rebuild_threshold = Some(threshold);
         self
     }
 
-    /// Triggers an automatic rebuild once the projected per-disk load
-    /// imbalance (`max/avg`) exceeds `threshold`.
-    pub fn with_imbalance_threshold(mut self, threshold: f64) -> Self {
-        self.imbalance_threshold = Some(threshold);
-        self
-    }
-
-    /// Runs triggered rebuilds synchronously on the writing thread
-    /// instead of a background thread.
-    pub fn foreground(mut self) -> Self {
-        self.background = false;
-        self
+    /// True when a write that left the buffer at `delta` should trigger
+    /// a rebuild: the delta reached its size threshold.
+    pub(crate) fn rebuild_due(&self, delta: &DeltaState) -> bool {
+        self.rebuild_threshold.is_some_and(|t| delta.size() >= t)
     }
 }
 
 impl Default for IngestConfig {
-    /// 4096-entry buffer, no automatic triggers, background rebuilds.
+    /// 4096-entry buffer, no automatic rebuild trigger.
     fn default() -> Self {
         IngestConfig::new(4096)
     }
@@ -109,27 +90,23 @@ pub(crate) enum DeltaOp {
 }
 
 /// The delta buffer: live inserted points, tombstones over the main
-/// index, per-disk projections for the skew trigger, and the rebuild
-/// op log. Always owned by the engine's delta mutex.
+/// index, and the rebuild op log. Always owned by the engine's delta
+/// mutex.
 pub(crate) struct DeltaState {
     /// Points inserted since the last rebuild, in insertion order.
     live: Vec<(Point, u64)>,
     /// Item ids removed from the main index but still present in its
     /// trees; masked out of every answer until a rebuild purges them.
     tombstones: BTreeSet<u64>,
-    /// How many live points the current declusterer would place on each
-    /// disk — the delta's contribution to the projected imbalance.
-    per_disk: Vec<usize>,
     /// Journal of writes applied while a shadow rebuild is in flight.
     log: OpLog<DeltaOp>,
 }
 
 impl DeltaState {
-    pub(crate) fn new(disks: usize) -> Self {
+    pub(crate) fn new() -> Self {
         DeltaState {
             live: Vec::new(),
             tombstones: BTreeSet::new(),
-            per_disk: vec![0; disks],
             log: OpLog::new(),
         }
     }
@@ -151,32 +128,25 @@ impl DeltaState {
         self.live.is_empty() && self.tombstones.is_empty()
     }
 
-    pub(crate) fn per_disk(&self) -> &[usize] {
-        &self.per_disk
-    }
-
     /// True if `item` is buffered as a live (not yet bulk-loaded) point.
     pub(crate) fn contains_live(&self, item: u64) -> bool {
         self.live.iter().any(|&(_, id)| id == item)
     }
 
-    /// Buffers an insert under `item`, projected onto `disk`, and
-    /// journals it when a rebuild capture is open.
-    pub(crate) fn apply_insert(&mut self, point: Point, item: u64, disk: usize) {
+    /// Buffers an insert under `item` and journals it when a rebuild
+    /// capture is open.
+    pub(crate) fn apply_insert(&mut self, point: Point, item: u64) {
         self.log.record(DeltaOp::Insert(point.clone(), item));
-        self.per_disk[disk] += 1;
         self.live.push((point, item));
     }
 
     /// Buffers a removal of `item`: a buffered live point is dropped on
-    /// the spot (its disk projection recomputed through `disk_of`),
-    /// anything else becomes a tombstone over the main index.
+    /// the spot, anything else becomes a tombstone over the main index.
     /// Idempotent. Journals the op when a rebuild capture is open.
-    pub(crate) fn apply_remove(&mut self, item: u64, disk_of: &dyn Fn(u64, &Point) -> usize) {
+    pub(crate) fn apply_remove(&mut self, item: u64) {
         self.log.record(DeltaOp::Remove(item));
         if let Some(pos) = self.live.iter().position(|&(_, id)| id == item) {
-            let (point, _) = self.live.swap_remove(pos);
-            self.per_disk[disk_of(item, &point)] -= 1;
+            self.live.swap_remove(pos);
         } else {
             self.tombstones.insert(item);
         }
@@ -265,10 +235,10 @@ mod tests {
 
     #[test]
     fn overlay_merges_filters_and_truncates() {
-        let mut delta = DeltaState::new(2);
-        delta.apply_insert(p(&[0.1, 0.1]), 10, 0);
-        delta.apply_insert(p(&[0.9, 0.9]), 11, 1);
-        delta.apply_remove(5, &|_, _| 0); // main-index item -> tombstone
+        let mut delta = DeltaState::new();
+        delta.apply_insert(p(&[0.1, 0.1]), 10);
+        delta.apply_insert(p(&[0.9, 0.9]), 11);
+        delta.apply_remove(5); // main-index item -> tombstone
         let q = p(&[0.0, 0.0]);
         let overlay = delta.overlay(&q, 2).unwrap();
         assert_eq!(overlay.extra_k(), 1);
@@ -299,28 +269,27 @@ mod tests {
 
     #[test]
     fn remove_of_a_live_point_never_tombstones() {
-        let mut delta = DeltaState::new(1);
-        delta.apply_insert(p(&[0.5]), 42, 0);
+        let mut delta = DeltaState::new();
+        delta.apply_insert(p(&[0.5]), 42);
         assert!(delta.contains_live(42));
-        delta.apply_remove(42, &|_, _| 0);
+        delta.apply_remove(42);
         assert!(delta.is_empty());
-        assert_eq!(delta.per_disk(), &[0]);
         // Idempotent second removal tombstones (the item might be a
         // main-index id the caller knows better than we do).
-        delta.apply_remove(42, &|_, _| 0);
-        delta.apply_remove(42, &|_, _| 0);
+        delta.apply_remove(42);
+        delta.apply_remove(42);
         assert_eq!(delta.tombstone_len(), 1);
     }
 
     #[test]
     fn rebuild_capture_journals_exactly_the_tail() {
-        let mut delta = DeltaState::new(1);
-        delta.apply_insert(p(&[0.1]), 0, 0);
+        let mut delta = DeltaState::new();
+        delta.apply_insert(p(&[0.1]), 0);
         let (live, tombs) = delta.begin_rebuild();
         assert_eq!(live.len(), 1);
         assert!(tombs.is_empty());
-        delta.apply_insert(p(&[0.2]), 1, 0);
-        delta.apply_remove(7, &|_, _| 0);
+        delta.apply_insert(p(&[0.2]), 1);
+        delta.apply_remove(7);
         let tail = delta.end_rebuild();
         assert_eq!(tail.len(), 2);
         assert!(matches!(tail[0], DeltaOp::Insert(_, 1)));

@@ -37,7 +37,7 @@ pub use engine::{ArrayHandle, FaultsHandle, ParallelKnnEngine};
 pub use ingest::IngestConfig;
 pub use metrics::{run_knn_workload, run_traced_workload, DegradedInfo, QueryTrace, WorkloadCost};
 pub use obs::EngineMetrics;
-pub use options::{ExecutionMode, FaultPolicy, QueryMode, QueryOptions, QueryResult, RetryPolicy};
+pub use options::{ExecutionMode, QueryMode, QueryOptions, QueryResult, RetryPolicy};
 pub use parsim_index::{LshConfig, ScanTier};
 pub use pool::PendingQuery;
 pub use sequential::SequentialEngine;

@@ -1,10 +1,9 @@
-//! Query options and fault policy for the parallel engine.
+//! Query options for the parallel engine.
 //!
 //! [`QueryOptions`] is the one record of per-query knobs consumed by
 //! [`crate::ParallelKnnEngine::query`] and
-//! [`crate::ParallelKnnEngine::query_batch`]; [`FaultPolicy`] carries the
-//! engine-wide degraded-mode defaults set at build time via
-//! [`crate::EngineBuilder::fault_policy`].
+//! [`crate::ParallelKnnEngine::query_batch`], including the degraded-mode
+//! timeout budget and flaky-read [`RetryPolicy`].
 
 use std::time::Duration;
 
@@ -81,30 +80,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Engine-wide degraded-mode defaults: a per-disk service-time budget and
-/// the retry policy for flaky reads. Individual queries can override both
-/// via [`QueryOptions`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultPolicy {
-    /// Per-disk timeout: a disk whose *modeled* service time for this
-    /// query (including slow-disk multipliers and retry backoff) exceeds
-    /// the budget is treated as failed and its buckets fail over to
-    /// replicas. `None` disables the budget.
-    pub timeout: Option<Duration>,
-    /// Retry policy for flaky-disk reads.
-    pub retry: RetryPolicy,
-}
-
-impl FaultPolicy {
-    /// The default policy with a per-disk timeout budget.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        FaultPolicy {
-            timeout: Some(timeout),
-            ..FaultPolicy::default()
-        }
-    }
-}
-
 /// Per-query choice between the exact tree backbone and the approximate
 /// LSH tier.
 ///
@@ -140,11 +115,13 @@ pub struct QueryOptions {
     pub k: usize,
     /// Attach the full [`QueryTrace`] to each result.
     pub trace: bool,
-    /// Per-disk modeled-time budget for this query; overrides the engine's
-    /// [`FaultPolicy::timeout`] when set.
+    /// Per-disk timeout: a disk whose *modeled* service time for this
+    /// query (including slow-disk multipliers and retry backoff) exceeds
+    /// the budget is treated as failed and its buckets fail over to
+    /// replicas. `None` (the default) disables the budget.
     pub timeout: Option<Duration>,
-    /// Retry policy for this query; overrides the engine's
-    /// [`FaultPolicy::retry`] when set.
+    /// Retry policy for flaky-disk reads; `None` means
+    /// [`RetryPolicy::default`].
     pub retry: Option<RetryPolicy>,
     /// Worker threads of a scoped [`crate::ParallelKnnEngine::query_batch`]
     /// (clamped to at least 1; defaults to the host's available
@@ -294,7 +271,5 @@ mod tests {
         assert_eq!(o.deadline, Some(Duration::from_millis(9)));
         assert!(QueryOptions::traced(3).trace);
         assert!(!QueryOptions::new(3).trace);
-        let p = FaultPolicy::with_timeout(Duration::from_secs(1));
-        assert_eq!(p.timeout, Some(Duration::from_secs(1)));
     }
 }

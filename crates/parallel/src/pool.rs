@@ -41,10 +41,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parsim_geometry::Point;
-use parsim_index::knn::{ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound};
+use parsim_index::knn::{ForestCursor, Neighbor, SearchStats};
 use parsim_storage::DiskModel;
 
-use crate::engine::{merge_candidates, DegradedState, EngineCore, TracedAnswer};
+use crate::engine::{DegradedState, EngineCore, TracedAnswer};
 use crate::ingest::QueryOverlay;
 use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters};
 use crate::metrics::QueryTrace;
@@ -95,19 +95,6 @@ pub(crate) enum Stage {
         /// Next stop.
         pos: usize,
     },
-    /// Healthy HS: disk-by-disk best-first searches under one carried
-    /// pruning bound. Answers are exact; page traces follow this
-    /// disk-by-disk order, not the single-queue forest search.
-    Hs {
-        /// Leaf-scan precision tier of the per-disk searches.
-        tier: ScanTier,
-        /// The carried pruning bound, tightened at every disk.
-        bound: SharedBound,
-        /// Per-disk candidate lists, merged at the last disk.
-        candidates: Vec<Vec<Neighbor>>,
-        /// Next disk.
-        next: usize,
-    },
     /// Degraded execution of either tier: primary steps, then the
     /// failover stops planned from their outcome.
     Degraded {
@@ -139,7 +126,6 @@ impl Stage {
     fn first_disk(&self) -> usize {
         match self {
             Stage::Rkv { itinerary, .. } => itinerary.first().map_or(0, |&(_, d)| d),
-            Stage::Hs { .. } => 0,
             Stage::Approx { plan, .. } => plan.first().map_or(0, |p| p.disk),
             Stage::Degraded { state, .. } => state.primary_disk(0).unwrap_or(0),
         }
@@ -512,23 +498,6 @@ fn step(core: &EngineCore, disk: usize, mut task: Box<QueryTask>) -> Outcome {
                 *pos += 1;
             }
         }
-        Stage::Hs {
-            tier,
-            ref bound,
-            ref mut candidates,
-            ref mut next,
-        } => {
-            while *next < core.trees.len() {
-                if *next != disk {
-                    forward = Some(*next);
-                    break;
-                }
-                let (cands, s) = core.hs_visit(disk, &task.query, task.k, bound, tier);
-                task.stats[disk].merge(s);
-                candidates[disk] = cands;
-                *next += 1;
-            }
-        }
         Stage::Approx {
             ref plan,
             ref mut pos,
@@ -619,11 +588,6 @@ fn complete(core: &EngineCore, task: QueryTask) {
             let neighbors = cursor.finish();
             let trace = QueryTrace::from_stats(&stats, wall, core.array.model());
             Ok((neighbors, trace))
-        }
-        Stage::Hs { candidates, .. } => {
-            let merged = merge_candidates(candidates.iter().map(Vec::as_slice), k);
-            let trace = QueryTrace::from_stats(&stats, wall, core.array.model());
-            Ok((merged, trace))
         }
         Stage::Approx {
             candidates,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use parsim_geometry::Point;
 use parsim_index::knn::Neighbor;
-use parsim_index::{SpatialTree, TreeParams};
+use parsim_index::{KnnAlgorithm, SpatialTree, TreeParams};
 use parsim_storage::{DiskArray, QueryCost};
 
 use crate::config::EngineConfig;
@@ -81,7 +81,7 @@ impl SequentialEngine {
             });
         }
         let scope = self.array.begin_query();
-        let result = self.tree.knn(query, k, self.config.algorithm);
+        let result = self.tree.knn(query, k, KnnAlgorithm::Rkv);
         Ok((result, scope.finish(&self.array)))
     }
 }

@@ -16,17 +16,21 @@ use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator};
 use parsim_geometry::Point;
 use parsim_obs::RegistrySnapshot;
 use parsim_parallel::{
-    ExecutionMode, FaultPolicy, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy, ScanTier,
+    ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy, ScanTier,
 };
 
 const DIM: usize = 6;
 const DISKS: usize = 8;
-const SHARDS: usize = 4;
 const K: usize = 10;
 
 /// One traced query's trace.
 fn traced(e: &ParallelKnnEngine, q: &Point) -> QueryTrace {
-    let r = e.query(q, &QueryOptions::traced(K)).unwrap();
+    traced_with(e, q, QueryOptions::traced(K))
+}
+
+/// One query's trace under `opts` (which must request one).
+fn traced_with(e: &ParallelKnnEngine, q: &Point, opts: QueryOptions) -> QueryTrace {
+    let r = e.query(q, &opts).unwrap();
     r.trace.expect("trace was requested")
 }
 
@@ -51,7 +55,6 @@ fn engine(points: &[Point], execution: ExecutionMode, replicas: usize) -> Parall
         .disks(DISKS)
         .replicas(replicas)
         .page_cache(128)
-        .cache_shards(SHARDS)
         .execution(execution)
         .metrics(true)
         .build(points)
@@ -234,7 +237,6 @@ fn tiered_workload_keeps_parity() {
         let engine = ParallelKnnEngine::builder(DIM)
             .disks(DISKS)
             .page_cache(128)
-            .cache_shards(SHARDS)
             .scan_tier(ScanTier::F32)
             .execution(execution)
             .metrics(true)
@@ -257,22 +259,17 @@ fn degraded_workload_keeps_parity_in_both_modes() {
     let queries = clustered_queries();
     // Generous retries: the failed disk's mirrors may be hosted on the
     // flaky disk, and this test is about counting, not abandonment.
-    let policy = FaultPolicy {
-        timeout: None,
-        retry: RetryPolicy {
-            max_retries: 16,
-            backoff: Duration::from_micros(10),
-            backoff_multiplier: 1.0,
-        },
-    };
+    let opts = QueryOptions::traced(K).with_retry(RetryPolicy {
+        max_retries: 16,
+        backoff: Duration::from_micros(10),
+        backoff_multiplier: 1.0,
+    });
     for execution in [ExecutionMode::Scoped, ExecutionMode::Pooled] {
         let engine = ParallelKnnEngine::builder(DIM)
             .disks(DISKS)
             .replicas(1)
             .page_cache(128)
-            .cache_shards(SHARDS)
             .execution(execution)
-            .fault_policy(policy)
             .metrics(true)
             .build(&points)
             .unwrap();
@@ -286,7 +283,10 @@ fn degraded_workload_keeps_parity_in_both_modes() {
         engine.faults().fail(loaded[0]);
         engine.faults().seed(loaded[1], 4242);
         engine.faults().flaky(loaded[1], 0.2);
-        let traces: Vec<QueryTrace> = queries.iter().map(|q| traced(&engine, q)).collect();
+        let traces: Vec<QueryTrace> = queries
+            .iter()
+            .map(|q| traced_with(&engine, q, opts))
+            .collect();
         let want = sum_traces(&traces);
         assert_eq!(want.degraded, queries.len() as u64, "all queries degraded");
         assert!(want.replica_pages > 0, "failover actually happened");
@@ -315,7 +315,6 @@ fn registry_survives_reorganize_with_exact_parity() {
         let engine = ParallelKnnEngine::builder(DIM)
             .disks(DISKS)
             .page_cache(128)
-            .cache_shards(SHARDS)
             .execution(execution)
             .metrics(true)
             .ingest(IngestConfig::new(4096))

@@ -38,10 +38,9 @@ fn traced_batch(
         .collect()
 }
 
-fn setup(algorithm: KnnAlgorithm) -> (ParallelKnnEngine, SequentialEngine, Vec<Point>) {
+fn setup() -> (ParallelKnnEngine, SequentialEngine, Vec<Point>) {
     let pts = UniformGenerator::new(DIM).generate(4000, 21);
-    let mut config = EngineConfig::paper_defaults(DIM);
-    config.algorithm = algorithm;
+    let config = EngineConfig::paper_defaults(DIM);
     let par = ParallelKnnEngine::builder(DIM)
         .config(config)
         .disks(DISKS)
@@ -68,17 +67,7 @@ fn assert_same_answers(got: &[Neighbor], want: &[Neighbor]) {
 
 #[test]
 fn threaded_knn_matches_sequential_rkv() {
-    let (par, seq, queries) = setup(KnnAlgorithm::Rkv);
-    for q in &queries {
-        let (got, _) = par.knn(q, 10).unwrap();
-        let (want, _) = seq.knn(q, 10).unwrap();
-        assert_same_answers(&got, &want);
-    }
-}
-
-#[test]
-fn threaded_knn_matches_sequential_hs() {
-    let (par, seq, queries) = setup(KnnAlgorithm::Hs);
+    let (par, seq, queries) = setup();
     for q in &queries {
         let (got, _) = par.knn(q, 10).unwrap();
         let (want, _) = seq.knn(q, 10).unwrap();
@@ -88,7 +77,7 @@ fn threaded_knn_matches_sequential_hs() {
 
 #[test]
 fn batch_matches_sequential_under_1_2_8_workers() {
-    let (par, seq, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, seq, queries) = setup();
     let want: Vec<Vec<Neighbor>> = queries.iter().map(|q| seq.knn(q, 10).unwrap().0).collect();
     for workers in [1, 2, 8] {
         let got = traced_batch(
@@ -108,7 +97,7 @@ fn batch_traces_are_identical_across_worker_counts() {
     // Each query's trace is computed by exactly one worker running the
     // deterministic forest search, so worker interleaving must not change
     // a single counter.
-    let (par, _, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, _, queries) = setup();
     let baseline = traced_batch(&par, &queries, QueryOptions::traced(10).with_workers(1));
     for workers in [2, 8] {
         let got = traced_batch(
@@ -128,7 +117,7 @@ fn batch_traces_account_for_every_page_served() {
     // The sum of the locally-counted per-query traces must equal the
     // global disk-counter delta over the whole concurrent batch: no page
     // is lost or double-counted under contention.
-    let (par, _, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, _, queries) = setup();
     let scope = par.array().begin_query();
     let results = traced_batch(&par, &queries, QueryOptions::traced(10).with_workers(8));
     let cost = scope.finish(&par.array());
@@ -147,7 +136,7 @@ fn threaded_traces_account_for_every_page_served() {
     // Same accounting identity for the intra-query (per-disk threads)
     // path: the trace of each query counts exactly the pages its threads
     // charged to the disks.
-    let (par, _, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, _, queries) = setup();
     let scope = par.array().begin_query();
     let mut summed = vec![0u64; DISKS];
     for q in &queries {
@@ -166,7 +155,7 @@ fn threaded_traces_account_for_every_page_served() {
 fn shared_bound_prunes_work() {
     // Var. 3 with the shared bound must read fewer pages than independent
     // per-disk searches run to completion.
-    let (par, _, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, _, queries) = setup();
     let mut bounded = 0u64;
     let mut independent = 0u64;
     let mut pruned = 0u64;
@@ -174,8 +163,14 @@ fn shared_bound_prunes_work() {
         let (_, trace) = traced(&par, q, 10);
         bounded += trace.total_pages();
         pruned += trace.candidates_pruned;
-        let (_, cost) = par.knn_independent(q, 10).unwrap();
-        independent += cost.total_reads;
+        // The share-nothing baseline: every disk's local top-10 searched
+        // to completion, with no bound shared between the disks.
+        let array = par.array();
+        let scope = array.begin_query();
+        par.for_each_tree(|tree| {
+            tree.knn(q, 10, KnnAlgorithm::Rkv);
+        });
+        independent += scope.finish(&array).total_reads;
     }
     assert!(pruned > 0, "no subtree was ever pruned over the workload");
     assert!(
@@ -254,9 +249,8 @@ fn clustered_knn_is_bit_identical_and_abandons_distances() {
 
 /// Builds scoped and pooled engines over the same points with the same
 /// configuration — the pair every backbone parity test compares.
-fn engine_pair(pts: &[Point], algorithm: KnnAlgorithm) -> (ParallelKnnEngine, ParallelKnnEngine) {
-    let mut config = EngineConfig::paper_defaults(DIM);
-    config.algorithm = algorithm;
+fn engine_pair(pts: &[Point]) -> (ParallelKnnEngine, ParallelKnnEngine) {
+    let config = EngineConfig::paper_defaults(DIM);
     let scoped = ParallelKnnEngine::builder(DIM)
         .config(config)
         .disks(DISKS)
@@ -278,7 +272,7 @@ fn engine_pair(pts: &[Point], algorithm: KnnAlgorithm) -> (ParallelKnnEngine, Pa
 /// path. Cache hits are excluded: they are execution-order dependent by
 /// nature.
 fn check_pooled_bit_identity(pts: &[Point], queries: &[Point]) {
-    let (scoped, pooled) = engine_pair(pts, KnnAlgorithm::Rkv);
+    let (scoped, pooled) = engine_pair(pts);
     let config = EngineConfig::paper_defaults(DIM);
     let seq = SequentialEngine::build(pts, config).unwrap();
     let data: Vec<(Point, u64)> = pts
@@ -356,38 +350,12 @@ fn pooled_execution_is_bit_identical_on_correlated_data() {
 }
 
 #[test]
-fn pooled_hs_answers_match_scoped() {
-    // HS pipelines disk-by-disk under a carried bound: answers must be
-    // identical to the scoped engine and brute force. Traces are not
-    // compared here: a scoped single query runs the per-disk fan-out,
-    // whose threads race on the shared bound. Batches run the same task
-    // on both backbones, so their traces are compared in
-    // `scoped_and_pooled_batches_agree_on_answers_and_traces`.
-    let pts = UniformGenerator::new(DIM).generate(4000, 23);
-    let (scoped, pooled) = engine_pair(&pts, KnnAlgorithm::Hs);
-    let data: Vec<(Point, u64)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i as u64))
-        .collect();
-    for q in &UniformGenerator::new(DIM).generate(16, 79) {
-        let (a, _) = scoped.knn(q, 10).unwrap();
-        let (b, _) = pooled.knn(q, 10).unwrap();
-        let brute = brute_force_knn(&data, q, 10);
-        assert_same_answers(&b, &a);
-        for (g, w) in b.iter().zip(&brute) {
-            assert_eq!(g.dist.to_bits(), w.dist.to_bits());
-        }
-    }
-}
-
-#[test]
 fn pooled_batch_pipelines_without_reordering_results() {
     // Results come back in submission order even though queries overlap
     // across disks, and every trace stays per-query exact (the summed
     // traces equal the global disk-counter delta).
     let pts = UniformGenerator::new(DIM).generate(4000, 24);
-    let (_, pooled) = engine_pair(&pts, KnnAlgorithm::Rkv);
+    let (_, pooled) = engine_pair(&pts);
     let queries = UniformGenerator::new(DIM).generate(32, 80);
     let scope = pooled.array().begin_query();
     let results = traced_batch(&pooled, &queries, QueryOptions::traced(5));
@@ -491,7 +459,7 @@ fn tiered_degraded_queries_stay_exact() {
 
 #[test]
 fn batch_handles_edge_cases() {
-    let (par, _, queries) = setup(KnnAlgorithm::Rkv);
+    let (par, _, queries) = setup();
     // Empty batch.
     assert!(par
         .query_batch(&[], &QueryOptions::traced(10).with_workers(4))
@@ -520,15 +488,9 @@ fn batch_handles_edge_cases() {
 /// Scoped and pooled engines over the same points, replicated and with
 /// the LSH tier, so one pair serves exact, approximate, and failed-disk
 /// batches.
-fn replicated_pair(
-    pts: &[Point],
-    algorithm: KnnAlgorithm,
-) -> (ParallelKnnEngine, ParallelKnnEngine) {
-    let mut config = EngineConfig::paper_defaults(DIM);
-    config.algorithm = algorithm;
+fn replicated_pair(pts: &[Point]) -> (ParallelKnnEngine, ParallelKnnEngine) {
     let build = |execution| {
         ParallelKnnEngine::builder(DIM)
-            .config(config)
             .disks(DISKS)
             .replicas(1)
             .approx(LshConfig::new(3))
@@ -586,33 +548,37 @@ fn assert_same_batches(
 #[test]
 fn scoped_and_pooled_batches_agree_on_answers_and_traces() {
     // Both backbones run the same query task, so a batch returns the same
-    // answers and the same traces on either: RKV, HS, approximate, and
-    // with a failed disk served from the replicas.
+    // answers and the same traces on either: exact, approximate, and with
+    // a failed disk served from the replicas.
     let generator = ClusteredGenerator::new(DIM, 8, 0.03);
     let pts = generator.generate(3000, 41);
     let queries = generator.generate(16, 85);
-    for algorithm in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
-        let (scoped, pooled) = replicated_pair(&pts, algorithm);
-        let exact = QueryOptions::new(10);
-        let approx = QueryOptions::approx(10, 2);
-        assert_same_batches(&scoped, &pooled, &queries, exact, &format!("{algorithm:?}"));
-        assert_same_batches(&scoped, &pooled, &queries, approx, "approx");
-        let failed = scoped
-            .load_distribution()
-            .iter()
-            .position(|&l| l > 0)
-            .expect("some disk holds data");
-        for e in [&scoped, &pooled] {
-            e.faults().fail(failed);
-        }
-        let label = format!("{algorithm:?}, disk {failed} failed");
-        assert_same_batches(&scoped, &pooled, &queries, exact, &label);
-        assert_same_batches(
-            &scoped,
-            &pooled,
-            &queries,
-            approx,
-            &format!("approx, {label}"),
-        );
+    let (scoped, pooled) = replicated_pair(&pts);
+    let exact = QueryOptions::new(10);
+    let approx = QueryOptions::approx(10, 2);
+    assert_same_batches(&scoped, &pooled, &queries, exact, "exact");
+    assert_same_batches(&scoped, &pooled, &queries, approx, "approx");
+    let failed = scoped
+        .load_distribution()
+        .iter()
+        .position(|&l| l > 0)
+        .expect("some disk holds data");
+    for e in [&scoped, &pooled] {
+        e.faults().fail(failed);
     }
+    let label = format!("disk {failed} failed");
+    assert_same_batches(
+        &scoped,
+        &pooled,
+        &queries,
+        exact,
+        &format!("exact, {label}"),
+    );
+    assert_same_batches(
+        &scoped,
+        &pooled,
+        &queries,
+        approx,
+        &format!("approx, {label}"),
+    );
 }

@@ -109,9 +109,9 @@ pub mod prelude {
     };
     pub use parsim_parallel::{
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,
-        EngineBuilder, EngineConfig, EngineError, EngineMetrics, ExecutionMode, FaultPolicy,
-        IngestConfig, ParallelKnnEngine, PendingQuery, QueryOptions, QueryResult, QueryTrace,
-        RetryPolicy, SequentialEngine, SplitStrategy, ThroughputReport, WorkloadCost,
+        EngineBuilder, EngineConfig, EngineError, EngineMetrics, ExecutionMode, IngestConfig,
+        ParallelKnnEngine, PendingQuery, QueryOptions, QueryResult, QueryTrace, RetryPolicy,
+        SequentialEngine, SplitStrategy, ThroughputReport, WorkloadCost,
     };
     pub use parsim_storage::{
         DiskArray, DiskModel, FaultInjector, FaultKind, LruTracker, QueryCost, ShardedLru, SimDisk,

@@ -143,8 +143,14 @@ fn shared_bound_beats_independent_search() {
     for q in &queries {
         let (_, c) = engine.knn(q, 10).unwrap();
         shared += c.total_reads;
-        let (_, c) = engine.knn_independent(q, 10).unwrap();
-        independent += c.total_reads;
+        // The share-nothing baseline: every disk's local top-10 searched
+        // to completion, with no bound shared between the disks.
+        let array = engine.array();
+        let scope = array.begin_query();
+        engine.for_each_tree(|tree| {
+            tree.knn(q, 10, KnnAlgorithm::Rkv);
+        });
+        independent += scope.finish(&array).total_reads;
     }
     assert!(
         shared <= independent,
