@@ -8,7 +8,13 @@
 //! level. Declustering *all* overloaded buckets would need `O(2^d)` state
 //! per level; refining only the buckets of the single most loaded disk
 //! keeps the rule table small, and the step can be repeated until the load
-//! is balanced.
+//! is balanced ([`RecursiveDeclusterer::build`], Figure 16).
+//!
+//! [`RecursiveDeclusterer::refine_dense`] is the one-pass variant the
+//! engine places its data with: every bucket holding more than a point
+//! limit gets a child partition at its own medians, recursively. Only the
+//! dense buckets carry state, so the rule table stays small without
+//! singling out one disk.
 
 use std::collections::HashMap;
 
@@ -17,7 +23,7 @@ use parsim_geometry::{Point, QuadrantSplitter};
 
 use crate::methods::Declusterer;
 use crate::near_optimal::NearOptimal;
-use crate::quantile::median_splits;
+use crate::quantile::median_splits_of;
 use crate::DeclusterError;
 
 /// Tuning knobs of [`RecursiveDeclusterer::build`].
@@ -57,6 +63,9 @@ pub enum StopReason {
     NothingToRefine,
     /// [`RecursiveConfig::max_levels`] passes ran without converging.
     MaxLevels,
+    /// The one-pass [`RecursiveDeclusterer::refine_dense`] left no bucket
+    /// above its point limit that its own medians could split.
+    NoDenseBucket,
 }
 
 /// Diagnostics of one refinement pass.
@@ -134,11 +143,81 @@ impl Node {
     fn depth(&self) -> usize {
         1 + self.children.values().map(Node::depth).max().unwrap_or(0)
     }
+
+    /// Gives every bucket of this (childless) node that holds more than
+    /// `limit` of `points` a child partition at the bucket's own medians,
+    /// one rotation further, recursively; adds the points of every
+    /// unrefined bucket to `loads`. `counts` are the points per bucket.
+    /// Only the dense buckets' points are gathered, as references.
+    fn refine_dense<'a, I>(
+        &mut self,
+        points: I,
+        counts: HashMap<BucketId, usize>,
+        disks: usize,
+        limit: usize,
+        loads: &mut [u64],
+    ) -> Result<(), DeclusterError>
+    where
+        I: Iterator<Item = &'a Point>,
+    {
+        let mut dense: HashMap<BucketId, Vec<&'a Point>> = counts
+            .iter()
+            .filter(|&(_, &n)| n > limit)
+            .map(|(&bucket, &n)| (bucket, Vec::with_capacity(n)))
+            .collect();
+        if !dense.is_empty() {
+            for p in points {
+                if let Some(members) = dense.get_mut(&self.splitter.bucket_of(p)) {
+                    members.push(p);
+                }
+            }
+        }
+        for (bucket, n) in counts {
+            if !dense.contains_key(&bucket) {
+                loads[self.disk_of_bucket(bucket, disks)] += n as u64;
+            }
+        }
+        for (bucket, members) in dense {
+            let dim = self.splitter.dim();
+            let splitter = median_splits_of(members.iter().copied())
+                .map_err(|_| DeclusterError::BadDimension { dim })?;
+            let child_counts = bucket_counts(&splitter, members.iter().copied());
+            if child_counts.len() < 2 {
+                // Identical points (or values the medians cannot tell
+                // apart): no split separates them, refining would not end.
+                loads[self.disk_of_bucket(bucket, disks)] += members.len() as u64;
+                continue;
+            }
+            let mut child = Node {
+                splitter,
+                base: self.base.clone(),
+                rotation: self.rotation + 1,
+                children: HashMap::new(),
+            };
+            child.refine_dense(members.into_iter(), child_counts, disks, limit, loads)?;
+            self.children.insert(bucket, child);
+        }
+        Ok(())
+    }
+}
+
+/// Points per bucket of `splitter`.
+fn bucket_counts<'a>(
+    splitter: &QuadrantSplitter,
+    points: impl Iterator<Item = &'a Point>,
+) -> HashMap<BucketId, usize> {
+    let mut counts = HashMap::new();
+    for p in points {
+        *counts.entry(splitter.bucket_of(p)).or_default() += 1;
+    }
+    counts
 }
 
 /// The recursive declusterer: a near-optimal quadrant declustering whose
-/// overloaded buckets are recursively re-declustered until the per-disk
-/// load is balanced.
+/// overloaded buckets are recursively re-declustered — those of the most
+/// loaded disk until the per-disk load is balanced
+/// ([`RecursiveDeclusterer::build`]), or every bucket above a point limit
+/// ([`RecursiveDeclusterer::refine_dense`]).
 #[derive(Debug, Clone)]
 pub struct RecursiveDeclusterer {
     disks: usize,
@@ -220,14 +299,68 @@ impl RecursiveDeclusterer {
         Ok(this)
     }
 
+    /// Builds the declusterer in one pass over `points`, starting from the
+    /// quadrant partition `splitter`: every bucket holding more than
+    /// `max_bucket_points` points gets a child partition at the bucket's
+    /// own medians, colored by `col` with the per-level rotation, and so on
+    /// down until no bucket is that dense or a dense bucket holds only
+    /// identical points (Section 4.3). A bucket that would fill two leaves
+    /// on every disk should not sit on one disk: the engine passes
+    /// `2 × disks × leaf_capacity`.
+    ///
+    /// `points` is read twice at the root (once to count the buckets, once
+    /// to gather the dense ones) and never copied. With no dense bucket
+    /// the placement is the flat near-optimal one over `splitter`. The
+    /// [`RecursiveStats`] record no passes and the final imbalance over
+    /// `points`.
+    pub fn refine_dense<'a, I>(
+        points: I,
+        splitter: QuadrantSplitter,
+        disks: usize,
+        max_bucket_points: usize,
+    ) -> Result<Self, DeclusterError>
+    where
+        I: Iterator<Item = &'a Point> + Clone,
+    {
+        if disks == 0 {
+            return Err(DeclusterError::ZeroDisks);
+        }
+        let dim = splitter.dim();
+        let disks = disks.min(crate::near_optimal::colors_required(dim) as usize);
+        let counts = bucket_counts(&splitter, points.clone());
+        if counts.is_empty() {
+            return Err(DeclusterError::BadDimension { dim: 0 });
+        }
+        let mut root = Node {
+            splitter,
+            base: NearOptimal::new(dim, disks)?,
+            rotation: 0,
+            children: HashMap::new(),
+        };
+        let mut loads = vec![0u64; disks];
+        root.refine_dense(points, counts, disks, max_bucket_points, &mut loads)?;
+        let total: u64 = loads.iter().sum();
+        let max = loads.iter().copied().max().unwrap_or(0);
+        Ok(RecursiveDeclusterer {
+            disks,
+            dim,
+            root,
+            stats: RecursiveStats {
+                levels: Vec::new(),
+                final_imbalance: max as f64 / (total as f64 / disks as f64),
+                stop: StopReason::NoDenseBucket,
+            },
+        })
+    }
+
     fn make_splitter<P: std::borrow::Borrow<Point>>(
         points: &[P],
         dim: usize,
         medians: bool,
     ) -> Result<QuadrantSplitter, DeclusterError> {
         if medians {
-            let owned: Vec<Point> = points.iter().map(|p| p.borrow().clone()).collect();
-            median_splits(&owned).map_err(|_| DeclusterError::BadDimension { dim })
+            median_splits_of(points.iter().map(|p| p.borrow()))
+                .map_err(|_| DeclusterError::BadDimension { dim })
         } else {
             QuadrantSplitter::midpoint(dim).map_err(|_| DeclusterError::BadDimension { dim })
         }
@@ -347,6 +480,7 @@ impl Declusterer for RecursiveDeclusterer {
 mod tests {
     use super::*;
     use crate::methods::BucketBased;
+    use crate::quantile::median_splits;
     use parsim_datagen::{
         ClusteredGenerator, CorrelatedGenerator, DataGenerator, UniformGenerator,
     };
@@ -512,5 +646,78 @@ mod tests {
         let pts = UniformGenerator::new(3).generate(100, 1);
         let r = RecursiveDeclusterer::build(&pts, 16, RecursiveConfig::default()).unwrap();
         assert_eq!(r.disks(), 4);
+    }
+
+    /// The engine's limit at 8 disks and 30-entry leaves.
+    const DENSE_LIMIT: usize = 2 * 8 * 30;
+
+    #[test]
+    fn refine_dense_leaves_uniform_data_on_the_flat_placement() {
+        let pts = UniformGenerator::new(8).generate(4000, 2);
+        let splitter = median_splits(&pts).unwrap();
+        let r = RecursiveDeclusterer::refine_dense(pts.iter(), splitter.clone(), 8, DENSE_LIMIT)
+            .unwrap();
+        assert_eq!(r.levels(), 1);
+        assert_eq!(r.stats().stop, StopReason::NoDenseBucket);
+        let flat = BucketBased::new(NearOptimal::new(8, 8).unwrap(), splitter);
+        for (i, p) in pts.iter().enumerate() {
+            assert_eq!(r.assign(i as u64, p), flat.assign(i as u64, p));
+        }
+    }
+
+    #[test]
+    fn refine_dense_spreads_a_single_dense_cluster_over_every_disk() {
+        let pts = ClusteredGenerator::new(6, 2, 0.02)
+            .in_single_quadrant()
+            .generate(6000, 9);
+        let splitter = QuadrantSplitter::midpoint(6).unwrap();
+        let flat = BucketBased::new(NearOptimal::new(6, 8).unwrap(), splitter.clone());
+        let r = RecursiveDeclusterer::refine_dense(pts.iter(), splitter, 8, DENSE_LIMIT).unwrap();
+        assert!(r.levels() > 1, "no refinement happened");
+        let loads = r.load_histogram(&pts);
+        assert!(
+            loads.iter().all(|&l| l > 0),
+            "some disk got nothing: {loads:?}"
+        );
+        let imbalance = r.imbalance(&pts);
+        assert!(imbalance < 0.5 * flat_imbalance(&flat, &pts), "{imbalance}");
+        // The loads tallied while building match the assignment.
+        assert!((r.stats().final_imbalance - imbalance).abs() < 1e-12);
+    }
+
+    #[test]
+    fn refine_dense_refines_only_buckets_strictly_above_the_limit() {
+        let limit = 20;
+        let spread = |cx: f64, n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|i| Point::new(vec![cx + i as f64 * 1e-3, cx - i as f64 * 1e-3]).unwrap())
+                .collect()
+        };
+        let at_limit = spread(0.25, limit);
+        let above = spread(0.75, limit + 1);
+        let pts: Vec<Point> = at_limit.iter().chain(&above).cloned().collect();
+        let splitter = QuadrantSplitter::midpoint(2).unwrap();
+        let r = RecursiveDeclusterer::refine_dense(pts.iter(), splitter.clone(), 4, limit).unwrap();
+        let refined: Vec<BucketId> = r.root.children.keys().copied().collect();
+        assert_eq!(refined, vec![splitter.bucket_of(&above[0])]);
+        assert_eq!(r.levels(), 2);
+        assert_eq!(r.load_histogram(&pts).iter().sum::<u64>(), pts.len() as u64);
+    }
+
+    #[test]
+    fn refine_dense_terminates_on_identical_points() {
+        let p = Point::new(vec![0.3, 0.3, 0.3]).unwrap();
+        let mut pts = vec![p; 500];
+        let splitter = median_splits(&pts).unwrap();
+        let r = RecursiveDeclusterer::refine_dense(pts.iter(), splitter, 4, 10).unwrap();
+        assert!(r.levels() <= 2);
+        assert_eq!(r.load_histogram(&pts).iter().sum::<u64>(), 500);
+        // A few distinct points among the copies: the copies still end in
+        // one unsplittable bucket after finitely many levels.
+        pts.extend((1..=5).map(|i| Point::new(vec![0.3 + 0.01 * i as f64; 3]).unwrap()));
+        let splitter = median_splits(&pts).unwrap();
+        let r = RecursiveDeclusterer::refine_dense(pts.iter(), splitter, 4, 10).unwrap();
+        assert!(r.levels() <= 3, "levels {}", r.levels());
+        assert_eq!(r.load_histogram(&pts).iter().sum::<u64>(), 505);
     }
 }

@@ -154,13 +154,11 @@ impl QuadrantSplitter {
     #[inline]
     pub fn bucket_of(&self, p: &Point) -> BucketId {
         debug_assert_eq!(p.dim(), self.dim(), "dimension mismatch");
-        let mut id: u64 = 0;
-        for (i, &c) in p.iter().enumerate() {
-            if c >= self.splits[i] {
-                id |= 1u64 << i;
-            }
-        }
-        id
+        // Branch-free: on uniform data every comparison is a coin flip.
+        p.iter()
+            .zip(&self.splits)
+            .enumerate()
+            .fold(0, |id, (i, (&c, &split))| id | (u64::from(c >= split) << i))
     }
 
     /// The region of the data space covered by bucket `id`, as a

@@ -20,14 +20,15 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parsim_decluster::near_optimal::colors_required;
+use parsim_decluster::quantile::median_splits_of;
 use parsim_decluster::replica::{ChainedReplica, ReplicaRouting};
-use parsim_decluster::{BucketBased, Declusterer, NearOptimal, ReplicaDeclusterer};
+use parsim_decluster::{Declusterer, RecursiveDeclusterer, ReplicaDeclusterer};
 use parsim_geometry::{Point, QuadrantSplitter};
-use parsim_index::{LshConfig, ScanTier};
+use parsim_index::{LshConfig, ScanTier, TreeParams};
 use parsim_storage::DiskModel;
 
-use crate::config::EngineConfig;
-use crate::engine::{make_splitter_of, ParallelKnnEngine};
+use crate::config::{EngineConfig, SplitStrategy};
+use crate::engine::ParallelKnnEngine;
 use crate::ingest::IngestConfig;
 use crate::options::ExecutionMode;
 use crate::serve::AdmissionConfig;
@@ -37,17 +38,23 @@ use crate::EngineError;
 /// mirror router.
 pub(crate) type ResolvedDecluster = (Arc<dyn Declusterer>, Option<Arc<dyn ReplicaRouting>>);
 
-/// The default declustering for `disks` disks: the paper's near-optimal
-/// coloring behind a quadrant partition, or — with replication — the
-/// [`ReplicaDeclusterer`] that places both copies. Shared by the builder
-/// and the engine's online reorganize (which re-derives the declustering
-/// from the then-current data).
-pub(crate) fn resolve_default_decluster(
+/// The default declustering of `points` over `disks` disks: the paper's
+/// near-optimal coloring behind the configured quadrant partition, with
+/// every bucket denser than `2 × disks × leaf_capacity` points refined at
+/// its own medians ([`RecursiveDeclusterer::refine_dense`], Section 4.3) —
+/// or, with replication, the flat [`ReplicaDeclusterer`] that places both
+/// copies. Shared by the builder and the engine's online reorganize
+/// (which re-derives the declustering from the then-current data).
+pub(crate) fn resolve_default_decluster<'a, I>(
     config: &EngineConfig,
     disks: usize,
     replicated: bool,
-    splitter: QuadrantSplitter,
-) -> Result<ResolvedDecluster, EngineError> {
+    points: I,
+) -> Result<ResolvedDecluster, EngineError>
+where
+    I: Iterator<Item = &'a Point> + Clone,
+{
+    let splitter = make_splitter_of(points.clone(), config)?;
     if replicated {
         let rd = Arc::new(
             ReplicaDeclusterer::new(config.dim, disks, splitter)
@@ -61,9 +68,40 @@ pub(crate) fn resolve_default_decluster(
         // `col` can use at most nextpow2(d+1) disks; extra disks could
         // never receive data, so the engine is capped to the usable count.
         let capped = disks.min(colors_required(config.dim) as usize);
-        let method = NearOptimal::new(config.dim, capped)
-            .map_err(|e| EngineError::Internal(e.to_string()))?;
-        Ok((Arc::new(BucketBased::new(method, splitter)), None))
+        // A bucket that would fill two leaves on every disk should not
+        // sit on one disk.
+        let leaf_capacity = TreeParams::for_dim(config.dim, config.variant)
+            .map_err(|e| EngineError::Internal(e.to_string()))?
+            .leaf_capacity;
+        let method = RecursiveDeclusterer::refine_dense(
+            points,
+            splitter,
+            capped,
+            2 * capped * leaf_capacity,
+        )
+        .map_err(|e| EngineError::Internal(e.to_string()))?;
+        Ok((Arc::new(method), None))
+    }
+}
+
+/// Derives the quadrant splitter for a build from the configured
+/// [`SplitStrategy`], reading the points through any re-iterable view —
+/// the online reorganize feeds `(point, item)` pairs without
+/// materializing a second vector.
+fn make_splitter_of<'a, I>(
+    points: I,
+    config: &EngineConfig,
+) -> Result<QuadrantSplitter, EngineError>
+where
+    I: Iterator<Item = &'a Point> + Clone,
+{
+    match config.splits {
+        SplitStrategy::Midpoint => {
+            QuadrantSplitter::midpoint(config.dim).map_err(|e| EngineError::Internal(e.to_string()))
+        }
+        SplitStrategy::DataMedian => {
+            median_splits_of(points).map_err(|e| EngineError::Internal(e.to_string()))
+        }
     }
 }
 
@@ -71,8 +109,10 @@ pub(crate) fn resolve_default_decluster(
 /// `build` / `build_near_optimal` / `with_page_cache` constructor sprawl.
 ///
 /// Defaults: the paper's configuration ([`EngineConfig::paper_defaults`]),
-/// near-optimal declustering over `colors_required(dim)` disks, no
-/// replicas, and no page cache. Timeouts and retries are set per query
+/// near-optimal declustering over `colors_required(dim)` disks with every
+/// dense quadrant bucket re-declustered at its own medians
+/// ([`RecursiveDeclusterer::refine_dense`]), no replicas, and no page
+/// cache. Timeouts and retries are set per query
 /// ([`crate::QueryOptions::with_timeout`] /
 /// [`crate::QueryOptions::with_retry`]).
 #[derive(Clone)]
@@ -286,11 +326,15 @@ impl EngineBuilder {
                 (Arc::clone(d), router)
             }
             None => {
-                let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &self.config)?;
                 let disks = self
                     .disks
                     .unwrap_or(colors_required(self.config.dim) as usize);
-                resolve_default_decluster(&self.config, disks, self.replicas == 1, splitter)?
+                resolve_default_decluster(
+                    &self.config,
+                    disks,
+                    self.replicas == 1,
+                    items.iter().map(|(p, _)| p),
+                )?
             }
         };
         ParallelKnnEngine::build_internal(

@@ -25,10 +25,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use parsim_decluster::quantile::median_splits_of;
 use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
-use parsim_geometry::{Point, QuadrantSplitter};
+use parsim_geometry::Point;
 use parsim_index::knn::{
     forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
 };
@@ -39,7 +38,7 @@ use parsim_index::{
 use parsim_storage::{DiskArray, DiskModel, FaultInjector, FaultKind, QueryCost};
 
 use crate::builder::{resolve_default_decluster, EngineBuilder};
-use crate::config::{EngineConfig, SplitStrategy};
+use crate::config::EngineConfig;
 use crate::ingest::{DeltaOp, DeltaState, IngestConfig, QueryOverlay};
 use crate::lsh::{merge_unique_candidates, DiskProbes, LshCounters, LshRuntime};
 use crate::metrics::{DegradedInfo, QueryTrace};
@@ -931,8 +930,8 @@ impl EngineShared {
                 let (declusterer, replica_router) = if explicit {
                     (declusterer, replica_router)
                 } else {
-                    let splitter = make_splitter_of(items.iter().map(|(p, _)| p), &config)?;
-                    resolve_default_decluster(&config, disks, replicated, splitter)?
+                    let points = items.iter().map(|(p, _)| p);
+                    resolve_default_decluster(&config, disks, replicated, points)?
                 };
                 EngineInner::build(
                     items,
@@ -1560,27 +1559,6 @@ impl Drop for ParallelKnnEngine {
     }
 }
 
-/// Derives the quadrant splitter for a build from the configured
-/// [`SplitStrategy`], reading the points through any re-iterable view —
-/// the online reorganize feeds `(point, item)` pairs without
-/// materializing a second vector.
-pub(crate) fn make_splitter_of<'a, I>(
-    points: I,
-    config: &EngineConfig,
-) -> Result<QuadrantSplitter, EngineError>
-where
-    I: Iterator<Item = &'a Point> + Clone,
-{
-    match config.splits {
-        SplitStrategy::Midpoint => {
-            QuadrantSplitter::midpoint(config.dim).map_err(|e| EngineError::Internal(e.to_string()))
-        }
-        SplitStrategy::DataMedian => {
-            median_splits_of(points).map_err(|e| EngineError::Internal(e.to_string()))
-        }
-    }
-}
-
 /// Simulates the error stream of `pages` reads against a flaky disk:
 /// every erroring read is retried up to the policy's limit, each retry
 /// charging its backoff plus one page's service time. Returns the retry
@@ -2021,6 +1999,34 @@ mod tests {
             seq: 0,
         };
         (task, pending)
+    }
+
+    #[test]
+    fn wait_timeout_reports_readiness_without_taking_the_answer() {
+        let pts = UniformGenerator::new(4).generate(400, 3);
+        let e = ParallelKnnEngine::builder(4)
+            .disks(4)
+            .execution(ExecutionMode::Pooled)
+            .build(&pts)
+            .unwrap();
+        // Pin every tree's write lock: the query parks on its first disk.
+        // A modeled-time budget routes it through the degraded stage,
+        // whose submission (unlike the RKV itinerary) reads no tree; the
+        // budget is far above what the healthy search needs.
+        let core = Arc::clone(&e.shared.inner.read().core);
+        let pins: Vec<_> = core.trees.iter().map(|t| t.write()).collect();
+        let opts = QueryOptions::new(5).with_timeout(Duration::from_secs(3600));
+        let pending = e.submit(&pts[0], &opts).unwrap();
+        let t0 = Instant::now();
+        assert!(!pending.wait_timeout(Duration::from_millis(50)));
+        assert!(t0.elapsed() >= Duration::from_millis(50));
+        assert!(!pending.is_ready());
+        drop(pins);
+        assert!(pending.wait_timeout(Duration::from_secs(20)));
+        assert!(pending.is_ready());
+        let res = pending.wait().unwrap();
+        assert_eq!(res.neighbors.len(), 5);
+        assert_eq!(res.neighbors[0].item, 0);
     }
 
     #[test]

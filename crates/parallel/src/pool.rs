@@ -38,7 +38,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parsim_geometry::Point;
 use parsim_index::knn::{ForestCursor, Neighbor, SearchStats};
@@ -188,6 +188,17 @@ impl Completion {
             .expect("completion lock is never poisoned")
             .is_some()
     }
+
+    /// Blocks until the answer is stored or `timeout` passes; true when
+    /// the answer is stored.
+    fn wait_timeout(&self, timeout: Duration) -> bool {
+        let slot = self.slot.lock().expect("completion lock is never poisoned");
+        let (slot, _) = self
+            .ready
+            .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+            .expect("completion lock is never poisoned");
+        slot.is_some()
+    }
 }
 
 /// A handle to a submitted query (see
@@ -226,6 +237,14 @@ impl PendingQuery {
     /// not block.
     pub fn is_ready(&self) -> bool {
         self.completion.is_ready()
+    }
+
+    /// Blocks for at most `timeout` until the answer is available and
+    /// returns whether it is. After `true`, [`PendingQuery::wait`] does
+    /// not block; after `false` the query keeps running and the handle
+    /// can be waited on again.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        self.completion.wait_timeout(timeout)
     }
 
     /// Blocks until the query finishes and returns its result.
