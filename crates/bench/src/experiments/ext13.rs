@@ -61,8 +61,6 @@ pub struct IngestRow {
 
 /// Everything `measure` learns.
 pub struct IngestMeasurement {
-    /// Points bulk-loaded before the stream starts.
-    pub base_points: usize,
     /// The phases in order.
     pub rows: Vec<IngestRow>,
     /// Total inserts issued across all phases.
@@ -71,9 +69,6 @@ pub struct IngestMeasurement {
     pub removes_issued: u64,
     /// `parsim_rebuilds_total` at the end (explicit + background).
     pub rebuilds: u64,
-    /// Whether the registry's ingest counters equal the issued counts
-    /// exactly (and nothing was rejected).
-    pub registry_reconciles: bool,
 }
 
 /// Normalized answer for bit-exact comparison: `(dist bits, item)`, sorted.
@@ -245,12 +240,11 @@ pub fn measure(scale: f64) -> IngestMeasurement {
     // once, none rejected, across every rebuild swap.
     let s = engine.metrics().expect("metrics enabled").snapshot();
     let rebuilds = s.counter_total("parsim_rebuilds_total");
-    let registry_reconciles = s.counter_total("parsim_ingest_inserts_total") == inserts_issued
-        && s.counter_total("parsim_ingest_removes_total") == removes_issued
-        && s.counter_total("parsim_ingest_rejected_total") == 0
-        && s.counter_total("parsim_rebuilds_failed_total") == 0;
     assert!(
-        registry_reconciles,
+        s.counter_total("parsim_ingest_inserts_total") == inserts_issued
+            && s.counter_total("parsim_ingest_removes_total") == removes_issued
+            && s.counter_total("parsim_ingest_rejected_total") == 0
+            && s.counter_total("parsim_rebuilds_failed_total") == 0,
         "ingest counters do not reconcile: {} inserts counted vs {} issued, \
          {} removes counted vs {} issued",
         s.counter_total("parsim_ingest_inserts_total"),
@@ -261,59 +255,11 @@ pub fn measure(scale: f64) -> IngestMeasurement {
     assert!(rebuilds >= 2, "explicit + background rebuilds expected");
 
     IngestMeasurement {
-        base_points: base_n,
         rows,
         inserts_issued,
         removes_issued,
         rebuilds,
-        registry_reconciles,
     }
-}
-
-/// Renders the measurement as the committed `BENCH_pr8.json` document
-/// (plain formatting — the workspace carries no JSON serializer).
-pub fn to_json(m: &IngestMeasurement, scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pr8-streaming-ingest\",\n");
-    out.push_str("  \"experiment\": \"ext13\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!(
-        "  \"dim\": {DIM},\n  \"disks\": {DISKS},\n  \"k\": {K},\n"
-    ));
-    out.push_str(&format!(
-        "  \"base_points\": {},\n  \"inserts_issued\": {},\n  \"removes_issued\": {},\n",
-        m.base_points, m.inserts_issued, m.removes_issued
-    ));
-    out.push_str(&format!(
-        "  \"rebuilds\": {},\n  \"registry_reconciles\": {},\n",
-        m.rebuilds, m.registry_reconciles
-    ));
-    out.push_str(
-        "  \"note\": \"write_rate_per_s and measured_ms are wall-clock on the build host and \
-         indicative only; avg_max_pages is the modeled pages-on-busiest-disk query cost and is \
-         host-independent; bit_identical means every probe answered bit-identically to a \
-         from-scratch bulk load of the engine's logical contents at that phase boundary; \
-         registry_reconciles means the ingest counters equal the issued write counts exactly \
-         across all rebuild swaps\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"writes\": {}, \"queries\": {}, \
-             \"write_rate_per_s\": {:.1}, \"avg_max_pages\": {:.3}, \"measured_ms\": {:.3}, \
-             \"bit_identical\": {}}}{}\n",
-            r.phase,
-            r.writes,
-            r.queries,
-            r.write_rate_per_s,
-            r.avg_max_pages,
-            r.measured_ms,
-            r.bit_identical,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Runs the ingest workload and tabulates it.

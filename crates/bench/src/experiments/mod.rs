@@ -12,7 +12,6 @@ pub mod ext08;
 pub mod ext09;
 pub mod ext10;
 pub mod ext11;
-pub mod ext12;
 pub mod ext13;
 pub mod ext15;
 pub mod fig01;
@@ -35,10 +34,10 @@ use crate::ExperimentReport;
 
 /// All experiment ids: the paper's figures in order, then the extension
 /// experiments.
-pub const ALL: [&str; 26] = [
+pub const ALL: [&str; 25] = [
     "fig1", "fig2", "fig3", "fig5", "fig7", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
     "fig17", "ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9", "ext10",
-    "ext11", "ext12", "ext13", "ext15",
+    "ext11", "ext13", "ext15",
 ];
 
 /// Runs an experiment by id. `scale` multiplies the default dataset sizes.
@@ -67,7 +66,6 @@ pub fn run(id: &str, scale: f64) -> Option<ExperimentReport> {
         "ext9" => Some(ext09::run(scale)),
         "ext10" => Some(ext10::run(scale)),
         "ext11" => Some(ext11::run(scale)),
-        "ext12" => Some(ext12::run(scale)),
         "ext13" => Some(ext13::run(scale)),
         "ext15" => Some(ext15::run(scale)),
         _ => None,

@@ -21,41 +21,16 @@
 //! abandoning is *exact*, never approximate. When the scan survives every
 //! checkpoint, the returned `Some(value)` is bit-identical to the unbounded
 //! kernel because both run the very same accumulation.
-//!
-//! # Precision tier
-//!
-//! Next to the canonical f64 kernels this module carries one cheap tier
-//! used by the two-phase leaf scan: **f32** kernels over single-precision
-//! mirrors ([`dist2_f32`], [`dist2_batch_f32`] and bounded variants). The
-//! tier never *answers* a query; its results are turned into certified
-//! **lower bounds** on the true f64 distance via [`lb2_from_f32`] /
-//! [`f32_prune_threshold`], so a row it disqualifies provably cannot enter
-//! the k-NN result and every survivor is re-ranked with the canonical
-//! [`dist2`] — returned answers stay bit-identical to a pure f64 scan.
-//!
-//! The certification argument is the triangle inequality plus a forward
-//! error bound: with `q̂`, `x̂` the low-precision representations and
-//! `r_q ≥ ‖q−q̂‖`, `r_x ≥ ‖x−x̂‖` (computed in f64, stored as
-//! overestimates), `‖q−x‖ ≥ ‖q̂−x̂‖ − r_q − r_x`. The f32 kernel does not
-//! compute `‖q̂−x̂‖²` exactly; its accumulated sum `S` satisfies
-//! `S ≤ (1+γ)·σ` with `σ` the exact sum and `γ =` [`f32_accum_slack`], so
-//! `σ ≥ S/(1+γ)` is still certain. Every helper rounds its slack *against* the
-//! pruning decision, so `lb ≤ dist2` holds unconditionally (certified for
-//! dimensions up to ~10⁶; see [`CERT_PAD`]).
 
 /// Accumulator-lane count of every kernel in this module — and therefore
 /// the **checkpoint cadence** of the `*_bounded` variants, which compare
 /// the running sum against the bound once per `CHECKPOINT_LANES` terms.
 ///
-/// This constant is load-bearing for the lower-bound certification, not a
-/// style choice: [`f32_accum_slack`] budgets the accumulation error as
-/// `2·(dim + CHECKPOINT_LANES)·ε₃₂`, where the `+ CHECKPOINT_LANES` term
-/// pays for the final cross-lane reduction `(s0 + s1) + (s2 + s3)`. A wider
-/// unroll without a matching slack update would under-estimate the error
-/// and could certify a false prune. The kernel bodies hard-code the width
-/// in their `chunks_exact(4)` / `xa[0..=3]` shape; the compile-time guard
-/// below and `checkpoint_cadence_is_four_lanes` in the test module keep the
-/// constant and the bodies from drifting apart.
+/// The kernel bodies hard-code the width in their `chunks_exact(4)` /
+/// `xa[0..=3]` shape; the compile-time guard below and
+/// `checkpoint_cadence_is_four_lanes` in the test module keep the constant
+/// and the bodies from drifting apart, so the abandon-depth counters stay
+/// in units of this many coordinates.
 pub const CHECKPOINT_LANES: usize = 4;
 
 // The kernel bodies index lanes 0..=3 explicitly; they must agree with the
@@ -287,15 +262,11 @@ pub fn dist2_batch(query: &[f64], block: &[f64], dim: usize, out: &mut [f64]) {
     }
 }
 
-/// Squared Euclidean distance between two f32 mirrors, single precision.
+/// Squared Euclidean distance between two f32 slices, single precision.
 ///
-/// Four-lane accumulation like [`dist2`], but deliberately **without** the
-/// FMA gate: the certification slack [`f32_accum_slack`] is derived for
-/// plain round-to-nearest mul+add (FMA would only shrink the error, so the
-/// slack stays valid either way, but one fixed shape keeps the analysis
-/// readable). The result is *not* a distance anyone may return — it feeds
-/// [`lb2_from_f32`] / [`f32_prune_threshold`] which turn it into a
-/// certified lower bound on the f64 distance.
+/// Kept, with [`dist2_batch_f32`], only because the `perfbench` benchmark
+/// times the f32 kernel (`kernel.f32_ns_per_row`); no engine scan uses it.
+/// Four-lane accumulation like [`dist2`], as plain mul+add.
 #[inline]
 pub fn dist2_f32(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -323,58 +294,9 @@ pub fn dist2_f32(a: &[f32], b: &[f32]) -> f32 {
     (s0 + s1) + (s2 + s3)
 }
 
-/// [`dist2_f32`] with partial-distance early abandon at the
-/// [`CHECKPOINT_LANES`] cadence.
-///
-/// Abandoning is certified by monotonicity exactly as for
-/// [`dist2_bounded`]: non-negative terms under round-to-nearest never
-/// shrink a lane, so a checkpoint above `bound` proves the full sum ends
-/// above `bound` too. Overflow is safe by the same argument — once a lane
-/// reaches `+∞` it stays there, and `∞ > bound` holds for every finite
-/// bound. Callers that pass `bound = f32::INFINITY` disable abandonment
-/// (nothing exceeds it, including `∞` itself) and must treat non-finite
-/// `Some` sums as uncertified (see [`f32_row_prunable`]).
-#[inline]
-pub fn dist2_f32_bounded(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
-    dist2_f32_bounded_depth(a, b, bound).0
-}
-
-/// [`dist2_f32_bounded`] plus the number of checkpoint comparisons
-/// performed (see [`dist2_bounded_depth`] for the depth contract).
-#[inline]
-pub fn dist2_f32_bounded_depth(a: &[f32], b: &[f32], bound: f32) -> (Option<f32>, u64) {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut s0 = 0.0f32;
-    let mut s1 = 0.0f32;
-    let mut s2 = 0.0f32;
-    let mut s3 = 0.0f32;
-    let mut cp = 0u64;
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        let d0 = xa[0] - xb[0];
-        let d1 = xa[1] - xb[1];
-        let d2 = xa[2] - xb[2];
-        let d3 = xa[3] - xb[3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-        cp += 1;
-        if (s0 + s1) + (s2 + s3) > bound {
-            return (None, cp);
-        }
-    }
-    for (x, y) in ta.iter().zip(tb) {
-        let d = x - y;
-        s0 += d * d;
-    }
-    (Some((s0 + s1) + (s2 + s3)), cp)
-}
-
 /// Scans a row-major f32 block against one f32 query, writing every row's
-/// [`dist2_f32`] into `out`.
+/// [`dist2_f32`] into `out`. Kept for the `perfbench` benchmark only (see
+/// [`dist2_f32`]).
 ///
 /// # Panics
 ///
@@ -387,62 +309,6 @@ pub fn dist2_batch_f32(query: &[f32], block: &[f32], dim: usize, out: &mut [f32]
     for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
         *slot = dist2_f32(query, row);
     }
-}
-
-/// Bounded variant of [`dist2_batch_f32`]: every row runs
-/// [`dist2_f32_bounded`] against the same `bound`, `None` marking rows
-/// abandoned at a checkpoint.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_f32_bounded(
-    query: &[f32],
-    block: &[f32],
-    dim: usize,
-    bound: f32,
-    out: &mut [Option<f32>],
-) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        *slot = dist2_f32_bounded(query, row, bound);
-    }
-}
-
-/// [`dist2_batch_f32_bounded`] plus abandon-depth accounting: returns
-/// `(abandoned_rows, abandon_checkpoints)`, where the second figure sums
-/// the checkpoint count of every **abandoned** row (survivor checkpoints
-/// are not counted, so `abandon_checkpoints / abandoned_rows` is the mean
-/// abandon depth in [`CHECKPOINT_LANES`] units). The per-row results are
-/// bit-identical to [`dist2_batch_f32_bounded`].
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * dim` or the query has the wrong
-/// dimension.
-pub fn dist2_batch_f32_bounded_depth(
-    query: &[f32],
-    block: &[f32],
-    dim: usize,
-    bound: f32,
-    out: &mut [Option<f32>],
-) -> (u64, u64) {
-    assert!(dim > 0, "zero-dimensional block");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(block.len(), out.len() * dim, "block/out shape mismatch");
-    let (mut rows, mut cps) = (0u64, 0u64);
-    for (row, slot) in block.chunks_exact(dim).zip(out.iter_mut()) {
-        let (s, cp) = dist2_f32_bounded_depth(query, row, bound);
-        if s.is_none() {
-            rows += 1;
-            cps += cp;
-        }
-        *slot = s;
-    }
-    (rows, cps)
 }
 
 /// Magnitude cap on the wide i32 query codes of the weighted q8 kernels.
@@ -504,9 +370,10 @@ pub fn dist2_q8w_bounded_depth(a: &[i32], b: &[u8], w: &[f64], bound: f64) -> (O
 
 /// Scans a row-major q8 code block against one quantized query with
 /// [`dist2_q8w_bounded_depth`], abandoning rows at `bound` and returning
-/// `(abandoned_rows, abandon_checkpoints)` (see
-/// [`dist2_batch_f32_bounded_depth`] for the accounting contract). Kept for
-/// the `perfbench` benchmark only (see [`Q8W_CODE_CAP`]).
+/// `(abandoned_rows, abandon_checkpoints)`: the second figure sums the
+/// checkpoint count of every **abandoned** row, so `abandon_checkpoints /
+/// abandoned_rows` is the mean abandon depth in [`CHECKPOINT_LANES`]
+/// units. Kept for the `perfbench` benchmark only (see [`Q8W_CODE_CAP`]).
 ///
 /// # Panics
 ///
@@ -534,115 +401,6 @@ pub fn dist2_batch_q8w_bounded_depth(
         *slot = s;
     }
     (rows, cps)
-}
-
-/// Relative padding applied wherever the certification helpers do f64
-/// arithmetic of their own (a handful of mul/add/sqrt roundings, each
-/// bounded by `ε₆₄ ≈ 2.2·10⁻¹⁶` relative).
-///
-/// `10⁻⁹` over-covers those roundings by six orders of magnitude while
-/// costing a relative `10⁻⁹` of pruning power — unmeasurable. It also
-/// absorbs the rounding of the *canonical f64 kernel itself*: a certified
-/// prune guarantees `dist2 ≥ bound·(1+CERT_PAD)` in exact arithmetic, so
-/// the computed [`dist2`] stays `≥ bound` as long as its own relative
-/// error `2·(dim+4)·ε₆₄` is below `CERT_PAD`, i.e. for dimensions up to
-/// about `2·10⁶`.
-pub const CERT_PAD: f64 = 1e-9;
-
-/// Relative forward-error budget of the f32 accumulation in
-/// [`dist2_f32`]: the computed sum `S` and the exact sum `σ` satisfy
-/// `|S − σ| ≤ f32_accum_slack(dim) · σ`.
-///
-/// Budgeted as `2·(dim + CHECKPOINT_LANES)·ε₃₂` with `ε₃₂ = f32::EPSILON`:
-/// `dim` products, per-lane chains of at most `dim` additions, plus the
-/// cross-lane reduction — a standard Higham-style bound, stated with the
-/// full machine epsilon (twice the unit roundoff) for headroom. Returns a
-/// value `≥ 1` only for absurd dimensions (`> 2²²`), where the f32 tier
-/// certifies nothing and callers should stay on f64.
-pub fn f32_accum_slack(dim: usize) -> f64 {
-    2.0 * (dim + CHECKPOINT_LANES) as f64 * f32::EPSILON as f64
-}
-
-/// Overestimate of the displacement `‖v − m‖₂` between a row and its f32
-/// mirror, suitable as the `r` input of the f32 certification helpers.
-///
-/// The sum runs in f64 over exactly representable inputs (f32 → f64 is
-/// exact), so its error is purely relative and far below the
-/// [`CERT_PAD`] inflation applied at the end.
-pub fn displacement_norm_f32(v: &[f64], m: &[f32]) -> f64 {
-    debug_assert_eq!(v.len(), m.len(), "dimension mismatch");
-    let mut s = 0.0f64;
-    for (x, y) in v.iter().zip(m) {
-        let d = x - *y as f64;
-        s += d * d;
-    }
-    s.sqrt() * (1.0 + CERT_PAD)
-}
-
-/// Certified lower bound on the **exact** squared f64 distance `‖q−x‖²`
-/// from the f32 kernel sum `s = dist2_f32(q̂, x̂)` and displacement
-/// overestimates `rq ≥ ‖q−q̂‖`, `rx ≥ ‖x−x̂‖`.
-///
-/// Non-finite `s` (overflow to `∞`, or NaN from `∞−∞` diffs) certifies
-/// nothing and yields the trivial bound `0`.
-pub fn lb2_from_f32(s: f32, rq: f64, rx: f64, dim: usize) -> f64 {
-    if !s.is_finite() {
-        return 0.0;
-    }
-    // σ ≥ S/(1+γ); deflate every own rounding toward zero.
-    let sigma = s as f64 / ((1.0 + f32_accum_slack(dim)) * (1.0 + CERT_PAD));
-    let lb = (sigma.sqrt() * (1.0 - CERT_PAD) - rq - rx).max(0.0);
-    (lb * lb) * (1.0 - CERT_PAD)
-}
-
-/// Phase-1 prune threshold for the f32 tier: a row whose f32 kernel sum
-/// `S` satisfies `(S as f64) ≥ f32_prune_threshold(bound, rq, rx, dim)` is
-/// certified to have **computed** f64 `dist2 ≥ bound` and may be dropped
-/// without re-ranking (see [`f32_row_prunable`]).
-///
-/// Derivation: pruning needs the exact `‖q̂−x̂‖² = σ ≥ (√(bound·(1+pad)) +
-/// rq + rx)²`; since `σ ≥ S/(1+γ)`, comparing `S` against `(1+γ)` times
-/// that target suffices, with [`CERT_PAD`] inflations covering both this
-/// function's own roundings and the canonical kernel's.
-pub fn f32_prune_threshold(bound: f64, rq: f64, rx: f64, dim: usize) -> f64 {
-    if !bound.is_finite() {
-        return f64::INFINITY;
-    }
-    let w = (bound * (1.0 + CERT_PAD)).sqrt() + rq + rx;
-    (1.0 + f32_accum_slack(dim)) * (w * w) * (1.0 + CERT_PAD)
-}
-
-/// The f32 bound to feed [`dist2_f32_bounded`] for a phase-1 threshold `t`
-/// (from [`f32_prune_threshold`]).
-///
-/// Inflated by `10⁻⁶` before the cast so round-to-nearest can never land
-/// below `t` (f32 cast error is `≤ 2⁻²⁴ ≈ 6·10⁻⁸` relative); when even the
-/// inflated value overflows f32 the abandon path is disabled entirely
-/// (`∞` bound) because an overflowed running sum would certify only
-/// `σ ≳ 3.4·10³⁸`, which may be below `t` — such rows surface as
-/// non-finite `Some` sums and survive to the f64 re-rank instead.
-pub fn f32_kernel_bound(t: f64) -> f32 {
-    let inflated = t * (1.0 + 1e-6);
-    if inflated <= f32::MAX as f64 {
-        inflated as f32
-    } else {
-        f32::INFINITY
-    }
-}
-
-/// The certified phase-1 decision for one f32-tier row: `true` iff the row
-/// provably has computed f64 `dist2 ≥` the bound that produced `t` via
-/// [`f32_prune_threshold`].
-///
-/// `None` (abandoned at a checkpoint) is certified because
-/// [`f32_kernel_bound`] only enables abandonment when the kernel bound is
-/// finite and `≥ t`, and checkpoint sums are monotone. A finite `Some`
-/// compares against `t` exactly in f64; non-finite sums certify nothing.
-pub fn f32_row_prunable(s: Option<f32>, t: f64) -> bool {
-    match s {
-        None => true,
-        Some(v) => v.is_finite() && v as f64 >= t,
-    }
 }
 
 #[cfg(test)]
@@ -746,10 +504,10 @@ mod tests {
         dist2_batch(&[0.5, 0.5], &[0.0; 5], 2, &mut out);
     }
 
-    /// Pins the checkpoint cadence the certification depends on: bounded
+    /// Pins the checkpoint cadence the depth counters report in: bounded
     /// kernels check once per [`CHECKPOINT_LANES`] coordinates and never in
     /// the tail. If someone widens the unroll without updating
-    /// [`CHECKPOINT_LANES`] (and with it the f32 slack), this fails.
+    /// [`CHECKPOINT_LANES`], this fails.
     #[test]
     fn checkpoint_cadence_is_four_lanes() {
         // One full chunk whose sum exceeds the bound: must abandon at the
@@ -765,16 +523,6 @@ mod tests {
         let zeros = vec![0.0f64; CHECKPOINT_LANES + 1];
         let got = dist2_bounded(&tail_heavy, &zeros, 1.0);
         assert_eq!(got, Some(100.0), "tail coordinates must not checkpoint");
-        // The f32 bounded kernel shares the cadence.
-        let big32: Vec<f32> = big.iter().map(|&v| v as f32).collect();
-        let zero32 = vec![0.0f32; big.len()];
-        assert_eq!(dist2_f32_bounded(&big32, &zero32, 1.0), None);
-        let mut t32 = vec![0.0f32; CHECKPOINT_LANES + 1];
-        t32[CHECKPOINT_LANES] = 10.0;
-        assert_eq!(
-            dist2_f32_bounded(&t32, &vec![0.0f32; t32.len()], 1.0),
-            Some(100.0)
-        );
     }
 
     #[test]
@@ -790,9 +538,6 @@ mod tests {
                 (s as f64 - full).abs() <= 1e-5 * full.max(1.0),
                 "dim {dim}: {s} vs {full}"
             );
-            // Unbounded survival is bit-identical to the plain kernel.
-            let got = dist2_f32_bounded(&a32, &b32, f32::INFINITY).unwrap();
-            assert_eq!(got.to_bits(), s.to_bits(), "dim {dim}");
         }
     }
 
@@ -804,37 +549,8 @@ mod tests {
         let q32: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).fract()).collect();
         let mut out32 = vec![0.0f32; rows];
         dist2_batch_f32(&q32, &block32, dim, &mut out32);
-        let mut bounded32 = vec![None; rows];
-        dist2_batch_f32_bounded(&q32, &block32, dim, f32::INFINITY, &mut bounded32);
         for (r, row) in block32.chunks_exact(dim).enumerate() {
             assert_eq!(out32[r].to_bits(), dist2_f32(&q32, row).to_bits());
-            assert_eq!(bounded32[r].unwrap().to_bits(), out32[r].to_bits());
-        }
-    }
-
-    #[test]
-    fn kernel_bounds_round_in_the_safe_direction() {
-        // The cast bound never lands below the threshold.
-        for t in [0.0, 1e-30, 1.0, 1e30, 1e38, 1e39, f64::INFINITY] {
-            let b = f32_kernel_bound(t);
-            assert!(b as f64 >= t || b == f32::INFINITY, "t={t}, b={b}");
-            if t * (1.0 + 1e-6) > f32::MAX as f64 {
-                assert_eq!(b, f32::INFINITY, "overflowing t must disable abandon");
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bounds_stay_below_exact_distances() {
-        for dim in [1usize, 4, 7, 16] {
-            let (a, b) = vecs(dim);
-            let exact = dist2(&a, &b);
-            let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-            let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-            let rq = displacement_norm_f32(&a, &a32);
-            let rx = displacement_norm_f32(&b, &b32);
-            let lb = lb2_from_f32(dist2_f32(&a32, &b32), rq, rx, dim);
-            assert!(lb <= exact, "f32 dim {dim}: lb {lb} > exact {exact}");
         }
     }
 
@@ -846,11 +562,6 @@ mod tests {
             let (s, cp) = dist2_bounded_depth(&a, &b, f64::INFINITY);
             assert_eq!(s.unwrap().to_bits(), dist2(&a, &b).to_bits(), "dim {dim}");
             assert_eq!(cp, (dim / CHECKPOINT_LANES) as u64, "dim {dim}");
-            let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-            let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-            let (s32, cp32) = dist2_f32_bounded_depth(&a32, &b32, f32::INFINITY);
-            assert_eq!(s32.unwrap().to_bits(), dist2_f32(&a32, &b32).to_bits());
-            assert_eq!(cp32, (dim / CHECKPOINT_LANES) as u64);
         }
         // An abandon reports the checkpoint it fired at: uniform mass means
         // the very first checkpoint clears a tiny bound.

@@ -35,20 +35,6 @@ fn pair(max_dim: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     })
 }
 
-/// A query/row pair of one random dimension, each vector scaled by its own
-/// adversarial power of two — stresses the certification helpers across
-/// ~36 decimal orders of magnitude, including f32 overflow territory.
-fn scaled_pair(max_dim: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    (1usize..=max_dim, -60i32..=60, -60i32..=60).prop_flat_map(|(dim, eq, ex)| {
-        (
-            prop::collection::vec(-1.0f64..1.0, dim)
-                .prop_map(move |v| v.into_iter().map(|c| c * 2f64.powi(eq)).collect()),
-            prop::collection::vec(-1.0f64..1.0, dim)
-                .prop_map(move |v| v.into_iter().map(|c| c * 2f64.powi(ex)).collect()),
-        )
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -97,40 +83,6 @@ proptest! {
                 // Abandoning is only allowed when the truth exceeds the bound.
                 None => prop_assert!(v > bound, "abandoned although {v} <= {bound}"),
             }
-        }
-    }
-
-    #[test]
-    fn f32_lower_bound_never_exceeds_the_exact_distance((q, x) in scaled_pair(64)) {
-        let dim = q.len();
-        let q32: Vec<f32> = q.iter().map(|&c| c as f32).collect();
-        let x32: Vec<f32> = x.iter().map(|&c| c as f32).collect();
-        let rq = kernel::displacement_norm_f32(&q, &q32);
-        let rx = kernel::displacement_norm_f32(&x, &x32);
-        let s = kernel::dist2_f32(&q32, &x32);
-        let lb = kernel::lb2_from_f32(s, rq, rx, dim);
-        let exact = kernel::dist2(&q, &x);
-        prop_assert!(lb <= exact, "dim {dim}: lb {lb} > dist2 {exact}");
-    }
-
-    #[test]
-    fn f32_certified_prune_implies_dist2_at_least_bound(
-        (q, x) in scaled_pair(64),
-        frac in 0.0f64..2.0,
-    ) {
-        let dim = q.len();
-        let q32: Vec<f32> = q.iter().map(|&c| c as f32).collect();
-        let x32: Vec<f32> = x.iter().map(|&c| c as f32).collect();
-        let rq = kernel::displacement_norm_f32(&q, &q32);
-        let rx = kernel::displacement_norm_f32(&x, &x32);
-        let exact = kernel::dist2(&q, &x);
-        let bound = exact * frac;
-        let t = kernel::f32_prune_threshold(bound, rq, rx, dim);
-        let s = kernel::dist2_f32_bounded(&q32, &x32, kernel::f32_kernel_bound(t));
-        if kernel::f32_row_prunable(s, t) {
-            // A certified prune must never drop a row whose computed f64
-            // distance is inside the bound.
-            prop_assert!(exact >= bound, "dim {dim}: pruned although {exact} < {bound}");
         }
     }
 

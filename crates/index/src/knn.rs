@@ -21,12 +21,9 @@
 //! its local search concurrently and publishes its k-th-best distance so
 //! the other disks can prune against the global state of the query.
 //!
-//! Leaf scans run through a [`LeafScanner`] at a configurable
-//! [`ScanTier`]: the cheap tier first sweeps the leaf's f32 mirror with
-//! certified lower-bound kernels and re-ranks only the survivors with the
-//! canonical f64 kernels, so the answers stay bit-identical to the
-//! pure-f64 scan while most rows never pay for f64 arithmetic (see
-//! `DESIGN.md`, "Precision tiers").
+//! Leaf scans run through a [`LeafScanner`]: the canonical f64 kernels,
+//! with per-row early abandon against the running and shared bound (see
+//! `DESIGN.md`, "One leaf scan").
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,25 +42,6 @@ pub enum KnnAlgorithm {
     Rkv,
     /// Best-first incremental search \[HS 95\].
     Hs,
-}
-
-/// Arithmetic precision of the phase-1 leaf scan (see `DESIGN.md`,
-/// "Precision tiers").
-///
-/// Every tier returns answers **bit-identical** to [`ScanTier::F64`]: the
-/// cheap tier only *filters* leaf rows using certified lower bounds on the
-/// f64 distance (low-precision kernel sum widened by per-block error
-/// bounds), and every survivor is re-ranked by the canonical f64 batch
-/// kernel. A filtered row is provably at least as far as the current
-/// pruning radius, exactly like a row abandoned by the early-abandon f64
-/// kernel — same contract, cheaper arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanTier {
-    /// Canonical f64 kernels only (the default; no phase 1).
-    #[default]
-    F64,
-    /// Phase 1 over the f32 mirror of each leaf block.
-    F32,
 }
 
 /// One answer of a k-NN query.
@@ -97,28 +75,14 @@ pub struct SearchStats {
     /// coalescing; no disk charged, cache untouched). Like `cache_hits`,
     /// counted in the search thread so the figure is exact per query.
     pub coalesced: u64,
-    /// Candidate points whose **f64** distance evaluation was started. On
-    /// [`ScanTier::F64`] this is every leaf row scanned (abandoned rows
-    /// included); on [`ScanTier::F32`] only phase-1 survivors start an f64
-    /// evaluation, so this counter *is* the f64 kernel cost of the query.
+    /// Candidate points whose f64 distance evaluation was started: every
+    /// leaf row scanned, abandoned rows included.
     pub dist_evals: u64,
-    /// Candidate points whose full f64 distance was never computed. On
-    /// [`ScanTier::F64`]: abandoned mid-distance by a partial-sum
-    /// checkpoint (a subset of `dist_evals`). On [`ScanTier::F32`]: rows
-    /// whose certified lower bound already cleared the pruning radius, so
-    /// the f64 kernel was skipped entirely (disjoint from `dist_evals`).
+    /// Candidate points whose full distance was never computed because a
+    /// partial-sum checkpoint abandoned them (a subset of `dist_evals`).
     pub dist_evals_saved: u64,
-    /// Phase-1 lower-bound kernel evaluations (f32 rows scanned). Zero on
-    /// [`ScanTier::F64`], and zero for leaf blocks [`ScanTier::F32`] routes
-    /// to the f64 path (no finite pruning radius yet).
-    pub lb_evals: u64,
-    /// Phase-1 survivors re-ranked by the exact f64 batch kernel. Always
-    /// `≤ lb_evals`; each re-rank also counts into `dist_evals`. Zero on
-    /// [`ScanTier::F64`].
-    pub rerank_evals: u64,
-    /// Rows a bounded kernel abandoned at a partial-sum checkpoint, on any
-    /// tier (f64 early abandonment, f32 phase-1 mid-kernel abandons).
-    /// Always a subset of `dist_evals_saved`.
+    /// Rows the bounded kernel abandoned at a partial-sum checkpoint.
+    /// Equal to `dist_evals_saved`.
     pub abandoned_rows: u64,
     /// Total 4-lane checkpoints the rows in `abandoned_rows` evaluated
     /// before abandoning. The mean abandon depth in *coordinates* is
@@ -135,8 +99,6 @@ impl SearchStats {
         self.coalesced += other.coalesced;
         self.dist_evals += other.dist_evals;
         self.dist_evals_saved += other.dist_evals_saved;
-        self.lb_evals += other.lb_evals;
-        self.rerank_evals += other.rerank_evals;
         self.abandoned_rows += other.abandoned_rows;
         self.abandon_checkpoints += other.abandon_checkpoints;
     }
@@ -205,31 +167,12 @@ impl SpatialTree {
         algorithm: KnnAlgorithm,
         shared: Option<&SharedBound>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.knn_traced_tiered(query, k, algorithm, shared, ScanTier::F64)
-    }
-
-    /// Like [`SpatialTree::knn_traced`], with an explicit precision tier
-    /// for the leaf scan.
-    ///
-    /// The answer list is identical for every tier — the cheap tiers only
-    /// skip rows certified farther than the pruning radius — but the work
-    /// counters move: on [`ScanTier::F32`] most leaf rows cost one
-    /// [`SearchStats::lb_evals`] instead of an f64
-    /// [`SearchStats::dist_evals`].
-    pub fn knn_traced_tiered(
-        &self,
-        query: &Point,
-        k: usize,
-        algorithm: KnnAlgorithm,
-        shared: Option<&SharedBound>,
-        tier: ScanTier,
-    ) -> (Vec<Neighbor>, SearchStats) {
         assert_eq!(query.dim(), self.params().dim, "query dimension mismatch");
         let mut stats = SearchStats::default();
         if k == 0 || self.is_empty() {
             return (Vec::new(), stats);
         }
-        let mut scanner = LeafScanner::new(tier);
+        let mut scanner = LeafScanner::default();
         let result = match algorithm {
             KnnAlgorithm::Rkv => {
                 let mut best = BoundedMaxHeap::new(k);
@@ -322,74 +265,24 @@ fn prune_bound(best: &BoundedMaxHeap, shared: Option<&SharedBound>) -> f64 {
     }
 }
 
-/// The unified leaf scan of every k-NN algorithm: one [`ScanTier`] plus
-/// the per-query scratch buffers of the two-phase scan.
+/// The unified leaf scan of every k-NN algorithm plus its per-query
+/// scratch buffer.
 ///
-/// One scanner serves one query. The f32 query mirror is cast once, on the
-/// first leaf; the per-block state — phase-1 sums, the survivor gather —
-/// is overwritten by each `scan` call. The search driver
-/// ([`ForestCursor`], the traced entry points) owns the scanner so the
-/// scratch allocations amortize over every leaf of the search.
-#[derive(Debug)]
+/// One scanner serves one query; the distance buffer is overwritten by each
+/// `scan` call. The search driver ([`ForestCursor`], the traced entry
+/// points) owns the scanner so the allocation amortizes over every leaf of
+/// the search.
+#[derive(Debug, Default)]
 pub struct LeafScanner {
-    tier: ScanTier,
-    /// The query cast to f32, built on first use (constant per query).
-    q32: Vec<f32>,
-    /// Overestimate of `‖q − q32‖` (constant per query).
-    rq32: f64,
-    /// Phase-1 sums (per block; `None` = abandoned at a checkpoint).
-    lb32: Vec<Option<f32>>,
-    /// Row indices that survived phase 1 (per block).
-    survivors: Vec<usize>,
-    /// Survivor rows gathered contiguously for the f64 re-rank batch.
-    gather: Vec<f64>,
-    /// f64 batch kernel outputs (whole block, or survivors).
+    /// Batch kernel outputs of the current block.
     d2: Vec<f64>,
 }
 
 impl LeafScanner {
-    /// A fresh scanner running leaf scans at `tier`.
-    pub fn new(tier: ScanTier) -> Self {
-        LeafScanner {
-            tier,
-            q32: Vec::new(),
-            rq32: 0.0,
-            lb32: Vec::new(),
-            survivors: Vec::new(),
-            gather: Vec::new(),
-            d2: Vec::new(),
-        }
-    }
-
-    /// The tier this scanner runs at.
-    pub fn tier(&self) -> ScanTier {
-        self.tier
-    }
-
-    /// Scans one leaf block, offering every non-filtered candidate to
-    /// `best` and publishing the tightened k-th best to `shared`. A
-    /// filtered row is *certified* to have computed f64 `dist2 ≥` the
-    /// pruning radius at block start, so — like the early-abandoned rows of
-    /// the f64 tier — it can never displace a k-nearest candidate and the
-    /// merged answer stays exact.
-    fn scan(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        shared: Option<&SharedBound>,
-        stats: &mut SearchStats,
-    ) {
-        match self.tier {
-            ScanTier::F64 => self.scan_f64(entries, query, best, shared, stats),
-            ScanTier::F32 => self.scan_f32(entries, query, best, shared, stats),
-        }
-        if let (true, Some(bound)) = (best.is_full(), shared) {
-            bound.tighten(best.worst());
-        }
-    }
-
-    /// The canonical f64 scan, also the fallback of the f32 tier.
+    /// Scans one leaf block, offering every candidate that survives early
+    /// abandonment to `best` and publishing the tightened k-th best to
+    /// `shared`. An abandoned row provably lies beyond the pruning radius,
+    /// so it can never displace a k-nearest candidate.
     ///
     /// When the candidate heap cannot fill mid-block and no concurrent
     /// search has published a bound, the pruning radius is `+∞` for every
@@ -399,7 +292,7 @@ impl LeafScanner {
     /// sweep. Otherwise the per-row bounded kernel runs, re-reading the
     /// pruning radius between rows so candidates admitted earlier in the
     /// block tighten the abandonment of later ones.
-    fn scan_f64(
+    fn scan(
         &mut self,
         entries: &LeafEntries,
         query: &Point,
@@ -437,77 +330,8 @@ impl LeafScanner {
                 }
             }
         }
-    }
-
-    /// Phase 1 over the block's f32 mirror: one bounded batch sweep against
-    /// the certified prune threshold, then the exact re-rank of survivors.
-    fn scan_f32(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        shared: Option<&SharedBound>,
-        stats: &mut SearchStats,
-    ) {
-        let bound = prune_bound(best, shared);
-        if bound == f64::INFINITY {
-            // No finite pruning radius yet: phase 1 could certify nothing,
-            // so skip straight to the exact scan.
-            return self.scan_f64(entries, query, best, shared, stats);
-        }
-        let dim = entries.dim();
-        let n = entries.len();
-        if self.q32.len() != dim {
-            self.q32 = query.coords().iter().map(|&c| c as f32).collect();
-            self.rq32 = kernel::displacement_norm_f32(query.coords(), &self.q32);
-        }
-        // The threshold is frozen at block start: a later (tighter) radius
-        // only makes rows certified against this one *more* prunable.
-        let t = kernel::f32_prune_threshold(bound, self.rq32, entries.f32_radius(), dim);
-        self.lb32.resize(n, None);
-        let (ab, cp) = kernel::dist2_batch_f32_bounded_depth(
-            &self.q32,
-            entries.flat_f32(),
-            dim,
-            kernel::f32_kernel_bound(t),
-            &mut self.lb32,
-        );
-        stats.lb_evals += n as u64;
-        stats.abandoned_rows += ab;
-        stats.abandon_checkpoints += cp;
-        self.survivors.clear();
-        for (i, &s) in self.lb32.iter().enumerate() {
-            if kernel::f32_row_prunable(s, t) {
-                stats.dist_evals_saved += 1;
-            } else {
-                self.survivors.push(i);
-            }
-        }
-        self.rerank(entries, query, best, stats);
-    }
-
-    /// Phase 2: the exact f64 batch kernel over the phase-1 survivors.
-    /// [`kernel::dist2_batch`] is bit-identical to [`kernel::dist2`] per
-    /// row, so tiered answers match the f64 tier exactly.
-    fn rerank(
-        &mut self,
-        entries: &LeafEntries,
-        query: &Point,
-        best: &mut BoundedMaxHeap,
-        stats: &mut SearchStats,
-    ) {
-        let dim = entries.dim();
-        let m = self.survivors.len();
-        self.gather.clear();
-        for &i in &self.survivors {
-            self.gather.extend_from_slice(entries.row(i));
-        }
-        self.d2.resize(m, 0.0);
-        kernel::dist2_batch(query.coords(), &self.gather, dim, &mut self.d2);
-        stats.rerank_evals += m as u64;
-        stats.dist_evals += m as u64;
-        for (j, &i) in self.survivors.iter().enumerate() {
-            best.offer(self.d2[j], entries.row(i), entries.item(i));
+        if let (true, Some(bound)) = (best.is_full(), shared) {
+            bound.tighten(best.worst());
         }
     }
 }
@@ -521,26 +345,27 @@ impl LeafScanner {
 ///
 /// Returns the neighbors plus one [`SearchStats`] per tree, counted
 /// locally in the calling thread — the exact per-disk cost of this query
-/// even when other queries run concurrently. `tier` picks the leaf-scan
-/// precision: answers are identical across tiers; only the work counters
-/// move.
+/// even when other queries run concurrently.
 pub fn forest_knn(
     trees: &[&SpatialTree],
     query: &Point,
     k: usize,
     algorithm: KnnAlgorithm,
-    tier: ScanTier,
 ) -> (Vec<Neighbor>, Vec<SearchStats>) {
     let mut stats = vec![SearchStats::default(); trees.len()];
     if k == 0 {
         return (Vec::new(), stats);
     }
     let result = match algorithm {
-        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, tier, &mut stats),
-        KnnAlgorithm::Hs => {
-            let mut scanner = LeafScanner::new(tier);
-            hs_search(trees, query, k, None, &mut scanner, &mut stats)
-        }
+        KnnAlgorithm::Rkv => forest_knn_rkv(trees, query, k, &mut stats),
+        KnnAlgorithm::Hs => hs_search(
+            trees,
+            query,
+            k,
+            None,
+            &mut LeafScanner::default(),
+            &mut stats,
+        ),
     };
     (result, stats)
 }
@@ -551,10 +376,9 @@ fn forest_knn_rkv(
     trees: &[&SpatialTree],
     query: &Point,
     k: usize,
-    tier: ScanTier,
     stats: &mut [SearchStats],
 ) -> Vec<Neighbor> {
-    let mut cursor = ForestCursor::with_tier(k, tier);
+    let mut cursor = ForestCursor::new(k);
     let itinerary = forest_itinerary(trees, query);
     for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
         if cursor.prunable(min_dist) {
@@ -611,21 +435,12 @@ pub struct ForestCursor {
 }
 
 impl ForestCursor {
-    /// A fresh cursor searching for the `k` nearest neighbors, its leaf
-    /// scans running at `tier`. The neighbors found
-    /// are identical for every tier; the per-tree [`SearchStats`] report
-    /// the tier's cost split across `lb_evals` / `rerank_evals` /
-    /// `dist_evals`.
-    pub fn with_tier(k: usize, tier: ScanTier) -> Self {
+    /// A fresh cursor searching for the `k` nearest neighbors.
+    pub fn new(k: usize) -> Self {
         ForestCursor {
             best: BoundedMaxHeap::new(k),
-            scanner: LeafScanner::new(tier),
+            scanner: LeafScanner::default(),
         }
-    }
-
-    /// The tier this cursor's leaf scans run at.
-    pub fn tier(&self) -> ScanTier {
-        self.scanner.tier()
     }
 
     /// True once every tree whose root MINDIST² is at least `min_dist2`
@@ -892,13 +707,12 @@ mod tests {
             let want = brute_force_knn(&data, q, k);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
-                // Distances must agree exactly (same arithmetic); items may
-                // differ only between equidistant points.
-                assert!(
-                    (g.dist - w.dist).abs() < 1e-12,
-                    "k={k} algo={algo:?}: {} vs {}",
-                    g.dist,
-                    w.dist
+                // Same arithmetic, continuous data without duplicates: the
+                // same items at bit-identical distances.
+                assert_eq!(
+                    (g.item, g.dist.to_bits()),
+                    (w.item, w.dist.to_bits()),
+                    "k={k} algo={algo:?}"
                 );
             }
         }
@@ -1065,7 +879,11 @@ mod tests {
                 let want = brute_force_knn(&data, q, k);
                 assert_eq!(merged.len(), want.len());
                 for (g, w) in merged.iter().zip(&want) {
-                    assert!((g.dist - w.dist).abs() < 1e-12, "{algo:?}");
+                    assert_eq!(
+                        (g.item, g.dist.to_bits()),
+                        (w.item, w.dist.to_bits()),
+                        "{algo:?}"
+                    );
                 }
             }
         }
@@ -1105,9 +923,9 @@ mod tests {
             .enumerate()
         {
             let k = 1 + qi % 10;
-            let (want, want_stats) = forest_knn(&refs, q, k, KnnAlgorithm::Rkv, ScanTier::F64);
+            let (want, want_stats) = forest_knn(&refs, q, k, KnnAlgorithm::Rkv);
             let mut stats = vec![SearchStats::default(); refs.len()];
-            let mut cursor = ForestCursor::with_tier(k, ScanTier::F64);
+            let mut cursor = ForestCursor::new(k);
             let itinerary = forest_itinerary(&refs, q);
             for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
                 if cursor.prunable(min_dist) {
@@ -1121,151 +939,6 @@ mod tests {
             let got = cursor.finish();
             assert_eq!(got, want, "neighbors diverged at query {qi}");
             assert_eq!(stats, want_stats, "stats diverged at query {qi}");
-        }
-    }
-
-    #[test]
-    fn tiered_scans_are_bit_identical_to_brute_force() {
-        // The tentpole contract: every tier returns the same answers, bit
-        // for bit — the cheap tiers only skip certified-far rows and
-        // re-rank survivors with the same f64 arithmetic brute force uses.
-        for (dim, pts) in [
-            (8, UniformGenerator::new(8).generate(1500, 41)),
-            (8, ClusteredGenerator::new(8, 5, 0.04).generate(1500, 43)),
-        ] {
-            let tree = build_tree(&pts, dim, TreeVariant::xtree_default());
-            let data: Vec<(Point, u64)> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.clone(), i as u64))
-                .collect();
-            for q in &UniformGenerator::new(dim).generate(8, 42) {
-                let want = brute_force_knn(&data, q, 7);
-                for tier in [ScanTier::F64, ScanTier::F32] {
-                    for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
-                        let (got, stats) = tree.knn_traced_tiered(q, 7, algo, None, tier);
-                        assert_eq!(got.len(), want.len());
-                        for (g, w) in got.iter().zip(&want) {
-                            assert_eq!(
-                                g.dist.to_bits(),
-                                w.dist.to_bits(),
-                                "{tier:?} {algo:?}: {} vs {}",
-                                g.dist,
-                                w.dist
-                            );
-                            assert_eq!(g.item, w.item, "{tier:?} {algo:?}");
-                        }
-                        assert!(stats.rerank_evals <= stats.lb_evals);
-                        match tier {
-                            ScanTier::F64 => {
-                                assert_eq!(stats.lb_evals, 0);
-                                assert_eq!(stats.rerank_evals, 0);
-                            }
-                            ScanTier::F32 => {
-                                assert!(stats.lb_evals > 0, "{tier:?} {algo:?}: phase 1 never ran")
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cheap_tiers_reduce_f64_evaluations() {
-        // On uniform data (where early abandonment is weakest) the cheap
-        // tiers must shift most leaf rows from f64 evaluations to
-        // lower-bound evaluations.
-        let dim = 8;
-        let pts = UniformGenerator::new(dim).generate(2000, 51);
-        let tree = build_tree(&pts, dim, TreeVariant::xtree_default());
-        let tier = ScanTier::F32;
-        let (mut base, mut tiered) = (0u64, 0u64);
-        for q in &UniformGenerator::new(dim).generate(10, 52) {
-            base += tree.knn_traced(q, 10, KnnAlgorithm::Rkv, None).1.dist_evals;
-            tiered += tree
-                .knn_traced_tiered(q, 10, KnnAlgorithm::Rkv, None, tier)
-                .1
-                .dist_evals;
-        }
-        assert!(
-            tiered * 2 <= base,
-            "{tier:?}: {tiered} f64 evals vs {base} on the f64 tier"
-        );
-    }
-
-    #[test]
-    fn tiered_partial_searches_merge_to_the_exact_answer() {
-        // SharedBound + cheap tiers: the certified prune threshold is
-        // derived from the bound at block start, so concurrent tightening
-        // must never cost a k-nearest candidate.
-        let dim = 7;
-        let k = 8;
-        let pts = UniformGenerator::new(dim).generate(2000, 61);
-        let (left, right): (Vec<_>, Vec<_>) = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i as u64))
-            .partition(|(_, i)| i % 2 == 0);
-        let lt = build_tree_items(&left, dim);
-        let rt = build_tree_items(&right, dim);
-        let data: Vec<(Point, u64)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i as u64))
-            .collect();
-        let tier = ScanTier::F32;
-        for q in &UniformGenerator::new(dim).generate(10, 62) {
-            let bound = SharedBound::new();
-            let (lres, _) = lt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
-            let (rres, _) = rt.knn_traced_tiered(q, k, KnnAlgorithm::Rkv, Some(&bound), tier);
-            let mut merged: Vec<Neighbor> = lres.into_iter().chain(rres).collect();
-            merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-            merged.truncate(k);
-            let want = brute_force_knn(&data, q, k);
-            assert_eq!(merged.len(), want.len());
-            for (g, w) in merged.iter().zip(&want) {
-                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn tiered_cursor_replays_the_tiered_forest_search_exactly() {
-        let dim = 8;
-        let pts = ClusteredGenerator::new(dim, 5, 0.04).generate(1800, 71);
-        let trees: Vec<SpatialTree> = (0..4)
-            .map(|d| {
-                let items: Vec<(Point, u64)> = pts
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % 4 == d)
-                    .map(|(i, p)| (p.clone(), i as u64))
-                    .collect();
-                build_tree_items(&items, dim)
-            })
-            .collect();
-        let refs: Vec<&SpatialTree> = trees.iter().collect();
-        let tier = ScanTier::F32;
-        for q in &UniformGenerator::new(dim).generate(6, 72) {
-            let k = 5;
-            let (want, want_stats) = forest_knn(&refs, q, k, KnnAlgorithm::Rkv, tier);
-            let mut stats = vec![SearchStats::default(); refs.len()];
-            let mut cursor = ForestCursor::with_tier(k, tier);
-            assert_eq!(cursor.tier(), tier);
-            let itinerary = forest_itinerary(&refs, q);
-            for (i, &(min_dist, ti)) in itinerary.iter().enumerate() {
-                if cursor.prunable(min_dist) {
-                    for &(_, tj) in &itinerary[i..] {
-                        stats[tj].pruned += 1;
-                    }
-                    break;
-                }
-                cursor.visit(refs[ti], q, &mut stats[ti]);
-            }
-            let got = cursor.finish();
-            assert_eq!(got, want, "{tier:?}: neighbors diverged");
-            assert_eq!(stats, want_stats, "{tier:?}: stats diverged");
         }
     }
 

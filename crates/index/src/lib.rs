@@ -27,7 +27,6 @@ pub mod bulk;
 pub mod caching;
 pub mod coalesce;
 pub mod costmodel;
-pub mod graphnn;
 pub mod gridfile;
 pub mod incremental;
 pub mod kdtree;
@@ -45,13 +44,12 @@ pub mod tvtree;
 pub use caching::{CachingSink, DEFAULT_CACHE_SHARDS};
 pub use coalesce::CoalescingSink;
 pub use costmodel::{predict_leaf_accesses, CostPrediction};
-pub use graphnn::GraphIndex;
 pub use gridfile::GridFile;
 pub use incremental::{incremental_forest, NnIterator};
 pub use kdtree::KdTree;
 pub use knn::{
-    forest_itinerary, forest_knn, ForestCursor, KnnAlgorithm, LeafScanner, Neighbor, ScanTier,
-    SearchStats, SharedBound,
+    forest_itinerary, forest_knn, ForestCursor, KnnAlgorithm, LeafScanner, Neighbor, SearchStats,
+    SharedBound,
 };
 pub use lsh::{LshConfig, LshTables};
 pub use params::{TreeParams, TreeVariant};

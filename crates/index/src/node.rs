@@ -102,18 +102,6 @@ impl LeafEntries {
         self.coords.as_flat()
     }
 
-    /// The block's f32 mirror, flat row-major (phase-1 scan view).
-    #[inline]
-    pub fn flat_f32(&self) -> &[f32] {
-        self.coords.as_flat_f32()
-    }
-
-    /// Overestimate of the largest `‖row − f32 mirror row‖₂` in the block.
-    #[inline]
-    pub fn f32_radius(&self) -> f64 {
-        self.coords.f32_radius()
-    }
-
     /// Iterates over `(coordinate row, item id)` pairs in storage order.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[f64], u64)> {

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use parsim_geometry::{HyperRect, Point};
 use parsim_index::knn::{brute_force_knn, forest_knn};
-use parsim_index::{KnnAlgorithm, ScanTier, SpatialTree, TreeParams, TreeVariant};
+use parsim_index::{KnnAlgorithm, SpatialTree, TreeParams, TreeVariant};
 
 fn arb_points(dim: usize, range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -70,7 +70,7 @@ proptest! {
             .collect();
         let refs: Vec<&SpatialTree> = trees.iter().collect();
         for algo in [KnnAlgorithm::Rkv, KnnAlgorithm::Hs] {
-            let (got, _) = forest_knn(&refs, &q, 9, algo, ScanTier::F64);
+            let (got, _) = forest_knn(&refs, &q, 9, algo);
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
                 prop_assert!((g.dist - w.dist).abs() < 1e-12);

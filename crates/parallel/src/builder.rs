@@ -24,7 +24,7 @@ use parsim_decluster::quantile::median_splits_of;
 use parsim_decluster::replica::{ChainedReplica, ReplicaRouting};
 use parsim_decluster::{Declusterer, RecursiveDeclusterer, ReplicaDeclusterer};
 use parsim_geometry::{Point, QuadrantSplitter};
-use parsim_index::{LshConfig, ScanTier, TreeParams};
+use parsim_index::{LshConfig, TreeParams};
 use parsim_storage::DiskModel;
 
 use crate::config::{EngineConfig, SplitStrategy};
@@ -251,16 +251,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the engine-wide leaf-scan precision tier (default
-    /// [`ScanTier::F64`]). Every tier returns bit-identical answers;
-    /// [`ScanTier::F32`] trades f64 kernel work for certified f32
-    /// lower-bound scans. Individual queries can override via
-    /// [`crate::QueryOptions::with_tier`]. See `docs/TUNING.md`.
-    pub fn scan_tier(mut self, tier: ScanTier) -> Self {
-        self.config.tier = tier;
-        self
-    }
-
     /// Sets the disk service-time model.
     pub fn disk_model(mut self, model: DiskModel) -> Self {
         self.config.disk_model = model;
@@ -400,18 +390,6 @@ mod tests {
         for d in 0..6 {
             assert_eq!(e.replica_disks_of(d), vec![(d + 1) % 6]);
         }
-    }
-
-    #[test]
-    fn scan_tier_knob_sets_the_config() {
-        let pts = UniformGenerator::new(4).generate(100, 5);
-        let e = ParallelKnnEngine::builder(4)
-            .scan_tier(ScanTier::F32)
-            .build(&pts)
-            .unwrap();
-        assert_eq!(e.config().tier, ScanTier::F32);
-        let d = ParallelKnnEngine::builder(4).build(&pts).unwrap();
-        assert_eq!(d.config().tier, ScanTier::F64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use parsim_index::{ScanTier, TreeVariant};
+use parsim_index::TreeVariant;
 use parsim_storage::DiskModel;
 
 /// How the quadrant split values are chosen.
@@ -26,11 +26,6 @@ pub struct EngineConfig {
     pub variant: TreeVariant,
     /// Split-value strategy for bucket-based declustering.
     pub splits: SplitStrategy,
-    /// Precision tier of the leaf scans (default:
-    /// [`ScanTier::F64`] — pure f64, the paper's arithmetic).
-    /// [`ScanTier::F32`] returns bit-identical answers; individual queries
-    /// can override via [`crate::QueryOptions::with_tier`].
-    pub tier: ScanTier,
     /// Disk service-time model.
     pub disk_model: DiskModel,
 }
@@ -43,7 +38,6 @@ impl EngineConfig {
             dim,
             variant: TreeVariant::xtree_default(),
             splits: SplitStrategy::DataMedian,
-            tier: ScanTier::F64,
             disk_model: DiskModel::hp_workstation_1997(),
         }
     }
@@ -58,7 +52,6 @@ mod tests {
         let c = EngineConfig::paper_defaults(16);
         assert_eq!(c.dim, 16);
         assert_eq!(c.splits, SplitStrategy::DataMedian);
-        assert_eq!(c.tier, ScanTier::F64);
         assert!(matches!(c.variant, TreeVariant::XTree { .. }));
     }
 }

@@ -28,9 +28,7 @@ use parking_lot::{Mutex, RwLock};
 use parsim_decluster::replica::ReplicaRouting;
 use parsim_decluster::Declusterer;
 use parsim_geometry::Point;
-use parsim_index::knn::{
-    forest_itinerary, ForestCursor, Neighbor, ScanTier, SearchStats, SharedBound,
-};
+use parsim_index::knn::{forest_itinerary, ForestCursor, Neighbor, SearchStats, SharedBound};
 use parsim_index::{
     CachingSink, CoalescingSink, DiskSink, KnnAlgorithm, LshConfig, NodeSink, SpatialTree,
     TreeParams, DEFAULT_CACHE_SHARDS,
@@ -204,9 +202,6 @@ pub(crate) enum DegradedTarget {
     /// The exact tier: every disk's primary tree, then the mirror trees
     /// of each down disk, all pruned against one carried bound.
     Exact {
-        /// Leaf-scan precision tier; primary and failover searches of one
-        /// query always scan at the same tier.
-        tier: ScanTier,
         /// The carried pruning bound.
         bound: SharedBound,
     },
@@ -325,18 +320,14 @@ impl EngineCore {
         target: &mut DegradedTarget,
     ) -> (Vec<Neighbor>, SearchStats) {
         match target {
-            DegradedTarget::Exact { tier, bound } => match host {
-                None => self.trees[d].read().knn_traced_tiered(
-                    query,
-                    k,
-                    KnnAlgorithm::Rkv,
-                    Some(bound),
-                    *tier,
-                ),
+            DegradedTarget::Exact { bound } => match host {
+                None => self.trees[d]
+                    .read()
+                    .knn_traced(query, k, KnnAlgorithm::Rkv, Some(bound)),
                 Some(host) => {
                     let mirrors = self.mirrors[d].read();
                     let mirror = mirrors.get(&host).expect("planned failover host exists");
-                    mirror.knn_traced_tiered(query, k, KnnAlgorithm::Rkv, Some(bound), *tier)
+                    mirror.knn_traced(query, k, KnnAlgorithm::Rkv, Some(bound))
                 }
             },
             DegradedTarget::Approx { plan, counters } => {
@@ -686,7 +677,6 @@ impl EngineInner {
             QueryMode::Approx { probes } => Some(probes),
         };
         let (timeout, retry) = (opts.timeout, opts.retry.unwrap_or_default());
-        let tier = opts.tier.unwrap_or(core.config.tier);
         let k = opts.k + overlay.as_ref().map_or(0, QueryOverlay::extra_k);
         let degraded = timeout.is_some() || core.array.faults().any_armed();
         let n = core.trees.len();
@@ -709,7 +699,7 @@ impl EngineInner {
             return Ok(pending);
         }
         if fan_out && self.pool.is_none() && probes.is_none() && !degraded {
-            deliver(core, &completion, self.knn_healthy(query, k, tier));
+            deliver(core, &completion, self.knn_healthy(query, k));
             return Ok(pending);
         }
         let stage = if degraded {
@@ -719,7 +709,6 @@ impl EngineInner {
                     counters: LshCounters::default(),
                 },
                 None => DegradedTarget::Exact {
-                    tier,
                     bound: SharedBound::new(),
                 },
             };
@@ -736,7 +725,7 @@ impl EngineInner {
             }
         } else {
             Stage::Rkv {
-                cursor: ForestCursor::with_tier(k, tier),
+                cursor: ForestCursor::new(k),
                 itinerary: core.itinerary(query),
                 pos: 0,
             }
@@ -778,7 +767,7 @@ impl EngineInner {
     /// from run to run; the answer cannot. A panicking per-disk search
     /// fails the query with [`EngineError::Internal`], as a panicking
     /// step of the state machine does.
-    fn knn_healthy(&self, query: &Point, k: usize, tier: ScanTier) -> TracedAnswer {
+    fn knn_healthy(&self, query: &Point, k: usize) -> TracedAnswer {
         let start = Instant::now();
         let shared = SharedBound::new();
         // One scoped thread per disk; each returns its local candidates
@@ -792,13 +781,8 @@ impl EngineInner {
                 .iter()
                 .map(|tree| {
                     s.spawn(move || {
-                        tree.read().knn_traced_tiered(
-                            query,
-                            k,
-                            KnnAlgorithm::Rkv,
-                            Some(shared),
-                            tier,
-                        )
+                        tree.read()
+                            .knn_traced(query, k, KnnAlgorithm::Rkv, Some(shared))
                     })
                 })
                 .collect();
@@ -1771,49 +1755,45 @@ mod tests {
 
     #[test]
     fn reorganize_preserves_contents() {
-        // Every scan tier answers bit-identically to brute force before
-        // and after a live reorganize that folds buffered inserts into a
-        // freshly bulk-loaded interior (and so rebuilds every f32 mirror).
+        // The engine answers bit-identically to brute force before and
+        // after a live reorganize that folds buffered inserts into a
+        // freshly bulk-loaded interior.
         let pts = UniformGenerator::new(6).generate(800, 7);
         let extra = UniformGenerator::new(6).generate(40, 8);
         let queries = UniformGenerator::new(6).generate(4, 9);
-        for tier in [ScanTier::F64, ScanTier::F32] {
-            let e = ParallelKnnEngine::builder(6)
-                .disks(4)
-                .scan_tier(tier)
-                .ingest(IngestConfig::new(64))
-                .build(&pts)
-                .unwrap();
-            let mut data: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
-            for p in &extra {
-                let item = e.insert(p.clone()).unwrap();
-                data.push((p.clone(), item));
-            }
-            let before = e.len();
-            let check = |e: &ParallelKnnEngine| {
-                for q in &queries {
-                    let opts = QueryOptions::new(10).with_workers(1);
-                    let got = e
-                        .query_batch(std::slice::from_ref(q), &opts)
-                        .unwrap()
-                        .pop()
-                        .unwrap();
-                    let want = brute_force_knn(&data, q, 10);
-                    assert_eq!(got.neighbors.len(), want.len(), "{tier:?}");
-                    for (g, w) in got.neighbors.iter().zip(&want) {
-                        assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?}");
-                        assert_eq!(g.item, w.item, "{tier:?}");
-                    }
-                }
-            };
-            check(&e);
-            e.reorganize().unwrap();
-            assert_eq!(e.delta_size(), 0);
-            assert_eq!(e.len(), before);
-            check(&e);
-            let (res, _) = e.knn(&pts[5], 1).unwrap();
-            assert_eq!(res[0].dist, 0.0);
+        let e = ParallelKnnEngine::builder(6)
+            .disks(4)
+            .ingest(IngestConfig::new(64))
+            .build(&pts)
+            .unwrap();
+        let mut data: Vec<(Point, u64)> = pts.iter().cloned().zip(0..).collect();
+        for p in &extra {
+            let item = e.insert(p.clone()).unwrap();
+            data.push((p.clone(), item));
         }
+        let before = e.len();
+        let check = |e: &ParallelKnnEngine| {
+            for q in &queries {
+                let opts = QueryOptions::new(10).with_workers(1);
+                let got = e
+                    .query_batch(std::slice::from_ref(q), &opts)
+                    .unwrap()
+                    .pop()
+                    .unwrap();
+                let want = brute_force_knn(&data, q, 10);
+                assert_eq!(got.neighbors.len(), want.len());
+                for (g, w) in got.neighbors.iter().zip(&want) {
+                    assert_eq!((g.item, g.dist.to_bits()), (w.item, w.dist.to_bits()));
+                }
+            }
+        };
+        check(&e);
+        e.reorganize().unwrap();
+        assert_eq!(e.delta_size(), 0);
+        assert_eq!(e.len(), before);
+        check(&e);
+        let (res, _) = e.knn(&pts[5], 1).unwrap();
+        assert_eq!(res[0].dist, 0.0);
     }
 
     #[test]

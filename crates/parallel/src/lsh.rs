@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use parsim_decluster::near_optimal::{col, colors_required, fold_table};
-use parsim_geometry::Point;
+use parsim_geometry::{kernel, Point};
 use parsim_index::knn::{Neighbor, SearchStats};
 use parsim_index::{LshConfig, LshTables};
 use parsim_storage::{VectorArena, PAGE_SIZE};
@@ -248,7 +248,9 @@ impl LshRuntime {
         counters: &mut LshCounters,
     ) -> Vec<Neighbor> {
         let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<Neighbor> = Vec::new();
+        // `(dist, item, row)`: the distance is `Point::dist`'s arithmetic on
+        // the arena slice, so only the kept `k` rows become `Point`s.
+        let mut scored: Vec<(f64, u64, usize)> = Vec::new();
         for key in buckets {
             counters.probes += 1;
             let Some(rows) = shard.buckets.get(key).filter(|r| !r.is_empty()) else {
@@ -260,19 +262,23 @@ impl LshRuntime {
                 if !seen.insert(row) {
                     continue;
                 }
-                let point = Point::from_vec(shard.arena.row(row as usize).to_vec());
+                let row = row as usize;
                 stats.dist_evals += 1;
                 counters.candidates += 1;
-                out.push(Neighbor {
-                    item: shard.items[row as usize],
-                    dist: point.dist(query),
-                    point,
-                });
+                let dist = kernel::dist2(shard.arena.row(row), query.coords()).sqrt();
+                scored.push((dist, shard.items[row], row));
             }
         }
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.item.cmp(&b.item)));
-        out.truncate(k);
-        out
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored.truncate(k);
+        scored
+            .into_iter()
+            .map(|(dist, item, row)| Neighbor {
+                item,
+                point: Point::from_vec(shard.arena.row(row).to_vec()),
+                dist,
+            })
+            .collect()
     }
 
     /// A deterministic byte serialization of every shard's bucket layout

@@ -62,24 +62,14 @@ pub struct QueryTrace {
     /// page requested by `m` queries, exactly `m − 1` visits coalesce.
     /// Logical `per_disk_pages` are unaffected either way.
     pub per_disk_coalesced: Vec<u64>,
-    /// f64 point-distance evaluations started in leaf scans. On
-    /// [`parsim_index::ScanTier::F32`] only phase-1 survivors start one, so
-    /// this counter is the query's f64 kernel cost on every tier.
+    /// f64 point-distance evaluations started in leaf scans, abandoned
+    /// rows included.
     pub dist_evals: u64,
-    /// Candidate points whose full f64 distance was never computed: cut
-    /// short by the early-abandon kernel (f64 tier) or filtered by a
-    /// certified f32 lower bound (f32 tier).
+    /// Candidate points whose full f64 distance was never computed because
+    /// the early-abandon kernel cut them short.
     pub dist_evals_saved: u64,
-    /// Phase-1 lower-bound kernel evaluations (f32 rows scanned).
-    /// Zero on [`parsim_index::ScanTier::F64`].
-    pub lb_evals: u64,
-    /// Phase-1 survivors re-ranked by the exact f64 batch kernel (each
-    /// also counts into [`QueryTrace::dist_evals`]). Zero on
-    /// [`parsim_index::ScanTier::F64`].
-    pub rerank_evals: u64,
-    /// Rows a bounded distance kernel abandoned mid-scan, on any tier
-    /// (a subset of [`QueryTrace::dist_evals_saved`]; lower-bound filters
-    /// that never start a kernel do not count here).
+    /// Rows the bounded distance kernel abandoned mid-scan (equal to
+    /// [`QueryTrace::dist_evals_saved`]).
     pub abandoned_rows: u64,
     /// 4-coordinate checkpoints those abandoned rows executed before the
     /// partial sum crossed the bound. The mean abandon depth in
@@ -125,8 +115,6 @@ impl QueryTrace {
             per_disk_coalesced: stats.iter().map(|s| s.coalesced).collect(),
             dist_evals: stats.iter().map(|s| s.dist_evals).sum(),
             dist_evals_saved: stats.iter().map(|s| s.dist_evals_saved).sum(),
-            lb_evals: stats.iter().map(|s| s.lb_evals).sum(),
-            rerank_evals: stats.iter().map(|s| s.rerank_evals).sum(),
             abandoned_rows: stats.iter().map(|s| s.abandoned_rows).sum(),
             abandon_checkpoints: stats.iter().map(|s| s.abandon_checkpoints).sum(),
             lsh_probes: 0,

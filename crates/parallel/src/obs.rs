@@ -45,8 +45,6 @@ pub struct EngineMetrics {
     candidates_pruned: Arc<Counter>,
     dist_evals: Arc<Counter>,
     dist_evals_saved: Arc<Counter>,
-    lb_evals: Arc<Counter>,
-    rerank_evals: Arc<Counter>,
     abandoned_rows: Arc<Counter>,
     abandon_checkpoints: Arc<Counter>,
     cache_hits: Arc<Counter>,
@@ -121,17 +119,7 @@ impl EngineMetrics {
         );
         let dist_evals_saved = r.counter(
             "parsim_dist_evals_saved_total",
-            "Candidates whose full f64 distance was never computed (early abandon or lower-bound filter)",
-            &[],
-        );
-        let lb_evals = r.counter(
-            "parsim_lb_evals_total",
-            "Phase-1 low-precision lower-bound kernel evaluations in leaf scans",
-            &[],
-        );
-        let rerank_evals = r.counter(
-            "parsim_rerank_evals_total",
-            "Phase-1 survivors re-ranked by the exact f64 batch kernel",
+            "Candidates whose full f64 distance was never computed (early abandon)",
             &[],
         );
         let abandoned_rows = r.counter(
@@ -336,8 +324,6 @@ impl EngineMetrics {
             candidates_pruned,
             dist_evals,
             dist_evals_saved,
-            lb_evals,
-            rerank_evals,
             abandoned_rows,
             abandon_checkpoints,
             cache_hits,
@@ -395,8 +381,6 @@ impl EngineMetrics {
         self.candidates_pruned.add(trace.candidates_pruned);
         self.dist_evals.add(trace.dist_evals);
         self.dist_evals_saved.add(trace.dist_evals_saved);
-        self.lb_evals.add(trace.lb_evals);
-        self.rerank_evals.add(trace.rerank_evals);
         self.abandoned_rows.add(trace.abandoned_rows);
         self.abandon_checkpoints.add(trace.abandon_checkpoints);
         self.cache_hits.add(trace.cache_hits);
@@ -502,8 +486,6 @@ mod tests {
             per_disk_coalesced: vec![0; disks],
             dist_evals: 40,
             dist_evals_saved: 10,
-            lb_evals: 25,
-            rerank_evals: 15,
             abandoned_rows: 6,
             abandon_checkpoints: 9,
             lsh_probes: 8,
@@ -533,8 +515,6 @@ mod tests {
             Some(6)
         );
         assert_eq!(s.counter_total("parsim_dist_evals_total"), 80);
-        assert_eq!(s.counter_total("parsim_lb_evals_total"), 50);
-        assert_eq!(s.counter_total("parsim_rerank_evals_total"), 30);
         assert_eq!(s.counter_total("parsim_abandoned_rows_total"), 12);
         assert_eq!(s.counter_total("parsim_abandon_checkpoints_total"), 18);
         assert_eq!(s.counter_total("parsim_query_cache_hits_total"), 4);

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use parsim_index::knn::{Neighbor, ScanTier};
+use parsim_index::knn::Neighbor;
 use parsim_storage::QueryCost;
 
 use crate::metrics::QueryTrace;
@@ -136,12 +136,6 @@ pub struct QueryOptions {
     /// work with [`crate::EngineError::DeadlineExceeded`]. Only the pool
     /// sheds: scoped execution runs every query to completion.
     pub deadline: Option<Duration>,
-    /// Precision tier of the leaf scans for this query; overrides the
-    /// engine's [`crate::EngineConfig::tier`] when set. Every tier
-    /// returns bit-identical answers — [`ScanTier::F32`] only trades f64
-    /// kernel work for certified f32 lower-bound work (see
-    /// `docs/TUNING.md`).
-    pub tier: Option<ScanTier>,
     /// Exact tree search or the approximate LSH tier (see [`QueryMode`]).
     pub mode: QueryMode,
 }
@@ -156,7 +150,6 @@ impl QueryOptions {
             retry: None,
             workers: None,
             deadline: None,
-            tier: None,
             mode: QueryMode::Exact,
         }
     }
@@ -205,12 +198,6 @@ impl QueryOptions {
         self
     }
 
-    /// Sets the leaf-scan precision tier for this query.
-    pub fn with_tier(mut self, tier: ScanTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
     /// Sets the query mode (exact tree search or approximate LSH).
     pub fn with_mode(mut self, mode: QueryMode) -> Self {
         self.mode = mode;
@@ -250,7 +237,6 @@ mod tests {
             .with_retry(RetryPolicy::none())
             .with_workers(4)
             .with_deadline(Duration::from_millis(9))
-            .with_tier(ScanTier::F32)
             .with_trace(true);
         assert_eq!(o.k, 5);
         assert!(o.trace);
@@ -263,8 +249,6 @@ mod tests {
                 .mode,
             QueryMode::Approx { probes: 1 }
         );
-        assert_eq!(o.tier, Some(ScanTier::F32));
-        assert_eq!(QueryOptions::new(3).tier, None);
         assert_eq!(o.timeout, Some(Duration::from_millis(80)));
         assert_eq!(o.retry, Some(RetryPolicy::none()));
         assert_eq!(o.workers, Some(4));

@@ -15,9 +15,7 @@ use std::time::Duration;
 use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator};
 use parsim_geometry::Point;
 use parsim_obs::RegistrySnapshot;
-use parsim_parallel::{
-    ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy, ScanTier,
-};
+use parsim_parallel::{ExecutionMode, ParallelKnnEngine, QueryOptions, QueryTrace, RetryPolicy};
 
 const DIM: usize = 6;
 const DISKS: usize = 8;
@@ -68,8 +66,6 @@ struct TraceTotals {
     pruned: u64,
     dist_evals: u64,
     dist_evals_saved: u64,
-    lb_evals: u64,
-    rerank_evals: u64,
     cache_hits: u64,
     degraded: u64,
     retries: u64,
@@ -88,8 +84,6 @@ fn sum_traces(traces: &[QueryTrace]) -> TraceTotals {
         t.pruned += trace.candidates_pruned;
         t.dist_evals += trace.dist_evals;
         t.dist_evals_saved += trace.dist_evals_saved;
-        t.lb_evals += trace.lb_evals;
-        t.rerank_evals += trace.rerank_evals;
         t.cache_hits += trace.cache_hits;
         if let Some(deg) = &trace.degraded {
             t.degraded += 1;
@@ -137,11 +131,6 @@ fn assert_parity(s: &RegistrySnapshot, traces: &[QueryTrace], want: &TraceTotals
     assert_eq!(
         s.counter_total("parsim_dist_evals_saved_total"),
         want.dist_evals_saved
-    );
-    assert_eq!(s.counter_total("parsim_lb_evals_total"), want.lb_evals);
-    assert_eq!(
-        s.counter_total("parsim_rerank_evals_total"),
-        want.rerank_evals
     );
     assert_eq!(
         s.counter_total("parsim_query_cache_hits_total"),
@@ -223,30 +212,6 @@ fn batch_paths_keep_parity() {
             .collect();
         let snapshot = engine.metrics().unwrap().snapshot();
         assert_parity(&snapshot, &traces, &sum_traces(&traces));
-    }
-}
-
-/// A cheap-tier workload keeps parity too, with the phase-1 counters
-/// actually firing: the registry's `lb_evals`/`rerank_evals` totals equal
-/// the trace sums in both execution modes.
-#[test]
-fn tiered_workload_keeps_parity() {
-    let points = clustered_points();
-    let queries = clustered_queries();
-    for execution in [ExecutionMode::Scoped, ExecutionMode::Pooled] {
-        let engine = ParallelKnnEngine::builder(DIM)
-            .disks(DISKS)
-            .page_cache(128)
-            .scan_tier(ScanTier::F32)
-            .execution(execution)
-            .metrics(true)
-            .build(&points)
-            .unwrap();
-        let traces: Vec<QueryTrace> = queries.iter().map(|q| traced(&engine, q)).collect();
-        let want = sum_traces(&traces);
-        assert!(want.lb_evals > 0, "phase 1 never ran ({execution:?})");
-        let snapshot = engine.metrics().unwrap().snapshot();
-        assert_parity(&snapshot, &traces, &want);
     }
 }
 

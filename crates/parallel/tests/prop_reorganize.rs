@@ -1,16 +1,14 @@
 //! Property test of a live `reorganize()`: an engine that buffered
 //! inserts and then folded them into a freshly bulk-loaded interior
-//! (rebuilding every leaf block and its f32 mirror) must answer
-//! bit-identically to brute force — distances and items — on every scan
-//! tier, on clustered, correlated, and uniform data, before and after
-//! the swap.
+//! (rebuilding every leaf block) must answer bit-identically to brute
+//! force — distances and items — on clustered, correlated, and uniform
+//! data, before and after the swap.
 
 use proptest::prelude::*;
 
 use parsim_datagen::{ClusteredGenerator, CorrelatedGenerator, DataGenerator, UniformGenerator};
 use parsim_geometry::Point;
 use parsim_index::knn::brute_force_knn;
-use parsim_index::ScanTier;
 use parsim_parallel::{IngestConfig, ParallelKnnEngine, QueryOptions};
 
 const DIM: usize = 6;
@@ -29,18 +27,15 @@ fn data(shape: u8, seed: u64, n: usize) -> Vec<Point> {
 fn assert_exact(e: &ParallelKnnEngine, all: &[(Point, u64)], queries: &[Point]) {
     for q in queries {
         let want = brute_force_knn(all, q, K);
-        for tier in [ScanTier::F64, ScanTier::F32] {
-            let opts = QueryOptions::new(K).with_tier(tier).with_workers(1);
-            let got = e
-                .query_batch(std::slice::from_ref(q), &opts)
-                .unwrap()
-                .pop()
-                .unwrap();
-            prop_assert_eq!(got.neighbors.len(), want.len());
-            for (g, w) in got.neighbors.iter().zip(&want) {
-                prop_assert_eq!(g.dist.to_bits(), w.dist.to_bits());
-                prop_assert_eq!(g.item, w.item);
-            }
+        let opts = QueryOptions::new(K).with_workers(1);
+        let got = e
+            .query_batch(std::slice::from_ref(q), &opts)
+            .unwrap()
+            .pop()
+            .unwrap();
+        prop_assert_eq!(got.neighbors.len(), want.len());
+        for (g, w) in got.neighbors.iter().zip(&want) {
+            prop_assert_eq!((g.item, g.dist.to_bits()), (w.item, w.dist.to_bits()));
         }
     }
 }

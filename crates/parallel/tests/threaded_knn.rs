@@ -12,8 +12,8 @@ use parsim_geometry::Point;
 use parsim_index::knn::{brute_force_knn, Neighbor};
 use parsim_index::KnnAlgorithm;
 use parsim_parallel::{
-    EngineConfig, ExecutionMode, LshConfig, ParallelKnnEngine, QueryOptions, QueryResult,
-    QueryTrace, ScanTier, SequentialEngine,
+    EngineConfig, ExecutionMode, LshConfig, ParallelKnnEngine, QueryOptions, QueryTrace,
+    SequentialEngine,
 };
 
 const DIM: usize = 8;
@@ -51,18 +51,15 @@ fn setup() -> (ParallelKnnEngine, SequentialEngine, Vec<Point>) {
     (par, seq, queries)
 }
 
-/// Distances must agree exactly (identical arithmetic on both paths);
-/// items may differ only between equidistant points.
+/// The `(item, dist-bits)` sequence of an answer. Every data set here is
+/// drawn from a continuous generator without forced duplicates, so equal
+/// arithmetic on both paths means equal items too.
+fn bits(answer: &[Neighbor]) -> Vec<(u64, u64)> {
+    answer.iter().map(|n| (n.item, n.dist.to_bits())).collect()
+}
+
 fn assert_same_answers(got: &[Neighbor], want: &[Neighbor]) {
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(want) {
-        assert!(
-            (g.dist - w.dist).abs() < 1e-12,
-            "distance mismatch: {} vs {}",
-            g.dist,
-            w.dist
-        );
-    }
+    assert_eq!(bits(got), bits(want));
 }
 
 #[test]
@@ -228,14 +225,8 @@ fn clustered_knn_is_bit_identical_and_abandons_distances() {
         let (want, _) = seq.knn(q, 10).unwrap();
         let brute = brute_force_knn(&data, q, 10);
         assert_eq!(got.len(), 10);
-        for ((g, w), b) in got.iter().zip(&want).zip(&brute) {
-            assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "threaded vs sequential");
-            assert_eq!(
-                g.dist.to_bits(),
-                b.dist.to_bits(),
-                "threaded vs brute force"
-            );
-        }
+        assert_eq!(bits(&got), bits(&want), "threaded vs sequential");
+        assert_eq!(bits(&got), bits(&brute), "threaded vs brute force");
         evals += trace.dist_evals;
         saved += trace.dist_evals_saved;
     }
@@ -291,29 +282,10 @@ fn check_pooled_bit_identity(pts: &[Point], queries: &[Point]) {
         let (seq_res, _) = seq.knn(q, 10).unwrap();
         let brute = brute_force_knn(&data, q, 10);
 
-        for ((((p, s), one), sq), b) in pres.iter().zip(sres).zip(&single).zip(&seq_res).zip(&brute)
-        {
-            assert_eq!(
-                p.dist.to_bits(),
-                s.dist.to_bits(),
-                "pooled vs scoped, q{qi}"
-            );
-            assert_eq!(
-                p.dist.to_bits(),
-                one.dist.to_bits(),
-                "batch vs single, q{qi}"
-            );
-            assert_eq!(
-                p.dist.to_bits(),
-                sq.dist.to_bits(),
-                "pooled vs sequential, q{qi}"
-            );
-            assert_eq!(
-                p.dist.to_bits(),
-                b.dist.to_bits(),
-                "pooled vs brute force, q{qi}"
-            );
-        }
+        assert_eq!(bits(pres), bits(sres), "pooled vs scoped, q{qi}");
+        assert_eq!(bits(pres), bits(&single), "batch vs single, q{qi}");
+        assert_eq!(bits(pres), bits(&seq_res), "pooled vs sequential, q{qi}");
+        assert_eq!(bits(pres), bits(&brute), "pooled vs brute force, q{qi}");
         assert_eq!(
             ptrace.per_disk_pages, strace.per_disk_pages,
             "page trace diverged on query {qi}"
@@ -373,91 +345,6 @@ fn pooled_batch_pipelines_without_reordering_results() {
 }
 
 #[test]
-fn tiered_engines_are_bit_identical_to_brute_force() {
-    // The two-phase leaf scan's whole contract: the f32 tier — engine-wide
-    // or per-query — returns the f64 tier's answer bit for bit, while the
-    // trace proves the cheap phase actually ran.
-    let pts = ClusteredGenerator::new(DIM, 8, 0.03).generate(3000, 31);
-    let data: Vec<(Point, u64)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i as u64))
-        .collect();
-    let queries = ClusteredGenerator::new(DIM, 8, 0.03).generate(12, 81);
-    let config = EngineConfig::paper_defaults(DIM);
-    let base = ParallelKnnEngine::builder(DIM)
-        .config(config)
-        .disks(DISKS)
-        .build(&pts)
-        .unwrap();
-    let tier = ScanTier::F32;
-    let tiered = ParallelKnnEngine::builder(DIM)
-        .config(config)
-        .disks(DISKS)
-        .scan_tier(tier)
-        .build(&pts)
-        .unwrap();
-    let mut lb = 0u64;
-    let mut rerank = 0u64;
-    for q in &queries {
-        let (want, _) = traced(&base, q, 10);
-        let got = tiered.query(q, &QueryOptions::traced(10)).unwrap();
-        // Per-query override on the f64-default engine takes the same
-        // tiered path.
-        let over = base
-            .query(q, &QueryOptions::traced(10).with_tier(tier))
-            .unwrap();
-        let brute = brute_force_knn(&data, q, 10);
-        for (((g, w), o), b) in got
-            .neighbors
-            .iter()
-            .zip(&want)
-            .zip(&over.neighbors)
-            .zip(&brute)
-        {
-            assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "{tier:?} vs f64");
-            assert_eq!(g.dist.to_bits(), o.dist.to_bits(), "{tier:?} vs override");
-            assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} vs brute");
-        }
-        let trace = got.trace.unwrap();
-        lb += trace.lb_evals;
-        rerank += trace.rerank_evals;
-    }
-    assert!(lb > 0, "{tier:?}: phase 1 never scanned a row");
-    assert!(rerank <= lb, "{tier:?}: more re-ranks than phase-1 rows");
-}
-
-#[test]
-fn tiered_degraded_queries_stay_exact() {
-    // Failover searches inherit the query's tier and the merged degraded
-    // answer must still be bit-identical to brute force.
-    let pts = ClusteredGenerator::new(DIM, 8, 0.03).generate(2500, 33);
-    let data: Vec<(Point, u64)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i as u64))
-        .collect();
-    let queries = ClusteredGenerator::new(DIM, 8, 0.03).generate(8, 83);
-    let tier = ScanTier::F32;
-    let e = ParallelKnnEngine::builder(DIM)
-        .disks(DISKS)
-        .replicas(1)
-        .scan_tier(tier)
-        .build(&pts)
-        .unwrap();
-    e.faults().fail(0);
-    for q in &queries {
-        let got = e.query(q, &QueryOptions::traced(10)).unwrap();
-        let brute = brute_force_knn(&data, q, 10);
-        for (g, b) in got.neighbors.iter().zip(&brute) {
-            assert_eq!(g.dist.to_bits(), b.dist.to_bits(), "{tier:?} degraded");
-        }
-        let trace = got.trace.unwrap();
-        assert!(trace.degraded.is_some(), "fault never engaged");
-    }
-}
-
-#[test]
 fn batch_handles_edge_cases() {
     let (par, _, queries) = setup();
     // Empty batch.
@@ -511,12 +398,6 @@ fn assert_same_batches(
     opts: QueryOptions,
     label: &str,
 ) {
-    let bits = |r: &QueryResult| -> Vec<(u64, u64)> {
-        r.neighbors
-            .iter()
-            .map(|n| (n.item, n.dist.to_bits()))
-            .collect()
-    };
     for workers in [1, 2] {
         let opts = opts.with_trace(true).with_workers(workers);
         let s = scoped.query_batch(queries, &opts).unwrap();
@@ -524,7 +405,7 @@ fn assert_same_batches(
         assert_eq!(s.len(), p.len());
         for (qi, (s, p)) in s.iter().zip(&p).enumerate() {
             let at = format!("{label}, {workers} workers, q{qi}");
-            assert_eq!(bits(s), bits(p), "answers: {at}");
+            assert_eq!(bits(&s.neighbors), bits(&p.neighbors), "answers: {at}");
             let (st, pt) = (s.trace.as_ref().unwrap(), p.trace.as_ref().unwrap());
             assert_eq!(st.per_disk_pages, pt.per_disk_pages, "pages: {at}");
             assert_eq!(st.dist_evals, pt.dist_evals, "dist_evals: {at}");

@@ -104,8 +104,8 @@ pub mod prelude {
     };
     pub use parsim_geometry::{Euclidean, HyperRect, Metric, Point, QuadrantSplitter};
     pub use parsim_index::{
-        forest_knn, CachingSink, KnnAlgorithm, Neighbor, NnIterator, ScanTier, SearchStats,
-        SharedBound, SpatialTree, TreeParams, TreeVariant,
+        forest_knn, CachingSink, KnnAlgorithm, Neighbor, NnIterator, SearchStats, SharedBound,
+        SpatialTree, TreeParams, TreeVariant,
     };
     pub use parsim_parallel::{
         run_knn_workload, run_traced_workload, AdmissionConfig, DeclusteredXTree, DegradedInfo,

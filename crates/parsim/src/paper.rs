@@ -33,9 +33,8 @@
 //!   (simplified telescope balls, exact search).
 //! * Welch's bucketing algorithm \[Wel 71\]:
 //!   [`crate::index::GridFile`]; the FBF k-d-tree \[FBF 77\]:
-//!   [`crate::index::KdTree`]; the graph-based family (RNG* \[Ary 95\]):
-//!   [`crate::index::GraphIndex`]. All four degenerate with the
-//!   dimension — quantified by experiment `ext5`.
+//!   [`crate::index::KdTree`]. Both degenerate with the dimension —
+//!   quantified by experiment `ext5`.
 //! * Figure 1 (degeneration with dimension): `figures fig1`, with the
 //!   analytic counterpart in [`crate::index::predict_leaf_accesses`].
 //!

@@ -15,47 +15,12 @@
 //! so a leaf scan is one linear sweep the prefetcher can follow, and the
 //! whole block can be handed to the batch distance kernel
 //! (`parsim_geometry::kernel::dist2_batch`) at once.
-//!
-//! # Precision mirror
-//!
-//! Next to the canonical f64 rows the arena maintains an **f32 mirror**
-//! (same row-major layout, each coordinate cast), kept in sync on every
-//! [`VectorArena::push`] / `swap_remove` / `clear` so bulk load,
-//! persistence and incremental inserts all get it for free, together with
-//! [`VectorArena::f32_radius`] — the largest certified displacement
-//! `‖row − row₃₂‖₂` over all rows.
-//!
-//! The mirror never answers anything on its own; the two-phase leaf scan
-//! uses it with the certified lower-bound helpers in
-//! `parsim_geometry::kernel` and re-ranks every surviving row with the f64
-//! kernels. The radius is deliberately maintained as an *overestimate* (a
-//! `swap_remove` keeps the old maximum): a too-large radius only weakens
-//! pruning, never correctness.
 
-use parsim_geometry::kernel::displacement_norm_f32;
-
-/// A row-major block of `len()` vectors of `dim` coordinates each, plus an
-/// f32 mirror for the cheap scan tier (see the module docs).
-#[derive(Clone, Debug)]
+/// A row-major block of `len()` vectors of `dim` coordinates each.
+#[derive(Clone, Debug, PartialEq)]
 pub struct VectorArena {
     dim: usize,
-    /// Canonical rows.
     data: Vec<f64>,
-    /// Row-major f32 casts of the rows.
-    mirror32: Vec<f32>,
-    /// Max over rows of the certified displacement `‖row − row₃₂‖₂`.
-    r32: f64,
-}
-
-/// Two arenas are equal when they hold the same rows. The mirror state is
-/// excluded on purpose: it is a derived cache whose radius depends on the
-/// *history* of pushes and removals (overestimates are kept across
-/// `swap_remove`), so two arenas with identical contents built along
-/// different paths still compare equal.
-impl PartialEq for VectorArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.data == other.data
-    }
 }
 
 impl VectorArena {
@@ -74,8 +39,6 @@ impl VectorArena {
         VectorArena {
             dim,
             data: Vec::with_capacity(dim * rows),
-            mirror32: Vec::with_capacity(dim * rows),
-            r32: 0.0,
         }
     }
 
@@ -97,7 +60,7 @@ impl VectorArena {
         self.data.is_empty()
     }
 
-    /// Appends one row and its f32 mirror.
+    /// Appends one row.
     ///
     /// # Panics
     ///
@@ -106,12 +69,6 @@ impl VectorArena {
     pub fn push(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
         self.data.extend_from_slice(row);
-        // Cast the row, fold its displacement into the radius.
-        let start32 = self.mirror32.len();
-        self.mirror32.extend(row.iter().map(|&v| v as f32));
-        self.r32 = self
-            .r32
-            .max(displacement_norm_f32(row, &self.mirror32[start32..]));
     }
 
     /// The `i`-th row.
@@ -129,20 +86,6 @@ impl VectorArena {
     #[inline]
     pub fn as_flat(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The f32 mirror as one flat row-major slice.
-    #[inline]
-    pub fn as_flat_f32(&self) -> &[f32] {
-        &self.mirror32
-    }
-
-    /// Certified overestimate of `max_rows ‖row − row₃₂‖₂` — the `r_x`
-    /// input of the f32 lower-bound helpers. May be stale-high after
-    /// removals (overestimates are always safe).
-    #[inline]
-    pub fn f32_radius(&self) -> f64 {
-        self.r32
     }
 
     /// Iterates over the rows in order.
@@ -163,20 +106,14 @@ impl VectorArena {
         if i < last {
             for c in 0..self.dim {
                 self.data[i * self.dim + c] = self.data[last * self.dim + c];
-                self.mirror32[i * self.dim + c] = self.mirror32[last * self.dim + c];
             }
         }
         self.data.truncate(last * self.dim);
-        self.mirror32.truncate(last * self.dim);
-        // The radius stays: it remains valid for the surviving rows
-        // (shrinking it would require a rescan).
     }
 
     /// Removes all rows, keeping the allocation and the dimension.
     pub fn clear(&mut self) {
         self.data.clear();
-        self.mirror32.clear();
-        self.r32 = 0.0;
     }
 }
 
@@ -230,47 +167,6 @@ mod tests {
     #[should_panic(expected = "row dimension mismatch")]
     fn push_rejects_wrong_dimension() {
         VectorArena::new(3).push(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn f32_mirror_tracks_rows_and_radius() {
-        let mut a = VectorArena::new(2);
-        a.push(&[0.1, 0.2]);
-        a.push(&[0.3, 0.4]);
-        assert_eq!(a.as_flat_f32().len(), 4);
-        for (v, m) in a.as_flat().iter().zip(a.as_flat_f32()) {
-            assert_eq!(*m, *v as f32);
-        }
-        // The radius bounds every row's actual displacement.
-        for (row, m) in a
-            .iter()
-            .zip(a.as_flat_f32().chunks_exact(2))
-            .collect::<Vec<_>>()
-        {
-            let d: f64 = row
-                .iter()
-                .zip(m)
-                .map(|(x, y)| (x - *y as f64).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            assert!(d <= a.f32_radius());
-        }
-        // swap_remove keeps the mirror aligned.
-        a.push(&[0.5, 0.6]);
-        a.swap_remove(0);
-        for (v, m) in a.as_flat().iter().zip(a.as_flat_f32()) {
-            assert_eq!(*m, *v as f32);
-        }
-    }
-
-    #[test]
-    fn clear_resets_mirrors() {
-        let mut a = VectorArena::new(2);
-        a.push(&[0.0, 1.0]);
-        a.push(&[0.5, 0.25]);
-        a.clear();
-        assert!(a.as_flat_f32().is_empty());
-        assert_eq!(a.f32_radius(), 0.0);
     }
 
     #[test]
